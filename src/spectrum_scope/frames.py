@@ -55,6 +55,8 @@ class Spectrum:
     def __post_init__(self):
         if len(self.values) == 0:
             raise ValueError("spectrum needs at least one entry")
+        if not all(math.isfinite(v) for v in self.values):
+            raise ValueError(f"eigenvalues must be finite: {self.values}")
         if self.values[-1] < 0.0:
             raise ValueError(f"eigenvalues must be non-negative: {self.values}")
         for upper, lower in zip(self.values, self.values[1:]):
@@ -124,74 +126,65 @@ def frame_count(d: int, boxes: int) -> int:
     return frame_count(d - 1, boxes) + frame_count(d, boxes - d)
 
 
-def hook_lengths(frame: YoungFrame) -> list[int]:
-    """Hook length of every box, row by row."""
-    rows = frame.rows
-    hooks = []
-    for i, length in enumerate(rows):
-        for j in range(length):
-            arm = length - j - 1
-            leg = sum(1 for below in rows[i + 1 :] if below > j)
-            hooks.append(arm + leg + 1)
-    return hooks
-
-
-@cache
-def _dim_symmetric_cached(rows: tuple[int, ...]) -> int:
-    frame = YoungFrame(rows)
+def _vandermonde(shifted: Sequence[int]) -> int:
+    """Product of l_i - l_j over i < j, in exact integer arithmetic."""
     product = 1
-    for hook in hook_lengths(frame):
-        product *= hook
-    return math.factorial(frame.boxes) // product
+    for i, upper in enumerate(shifted):
+        for lower in shifted[i + 1 :]:
+            product *= upper - lower
+    return product
+
+
+def _shifted_rows(rows: Sequence[int]) -> tuple[int, ...]:
+    """Strictly decreasing l_i = Y_i + d - 1 - i of the Frobenius and Weyl formulas."""
+    d = len(rows)
+    return tuple(value + d - 1 - i for i, value in enumerate(rows))
 
 
 def dim_symmetric_irrep(frame: YoungFrame) -> int:
-    """Number of standard tableaux of this shape (exact integer arithmetic)."""
-    return _dim_symmetric_cached(frame.rows)
+    """Number of standard tableaux of this shape (exact integer arithmetic).
+
+    Frobenius: f^Y = N! prod_{i<j}(l_i - l_j) / prod_i l_i!, with
+    l_i = Y_i + d - 1 - i (Fulton & Harris, Representation Theory, 4.1).
+    """
+    shifted = _shifted_rows(frame.rows)
+    return (
+        math.factorial(frame.boxes)
+        * _vandermonde(shifted)
+        // math.prod(map(math.factorial, shifted))
+    )
 
 
 def log_dim_symmetric_irrep(frame: YoungFrame) -> float:
-    """Parallel log-space path: ln N! minus the summed log hook lengths."""
-    total = math.lgamma(frame.boxes + 1)
-    for hook in hook_lengths(frame):
-        total -= math.log(hook)
+    """The Frobenius formula in log space: O(d^2) at any box count."""
+    shifted = _shifted_rows(frame.rows)
+    total = math.lgamma(frame.boxes + 1) + math.log(_vandermonde(shifted))
+    for value in shifted:
+        total -= math.lgamma(value + 1)
     return total
 
 
 def dim_unitary_irrep(frame: YoungFrame, d: int | None = None) -> int:
     """Dimension of the unitary-group irrep with this highest weight.
 
-    Evaluates the pairwise product (Y_i - Y_j + j - i)/(j - i) over i < j in
-    exact integer arithmetic; ``d`` defaults to the frame's row count and may
-    pad extra zero rows.
+    Weyl: prod_{i<j} (Y_i - Y_j + j - i)/(j - i). Since Y_i - Y_j + j - i =
+    l_i - l_j, this is the Vandermonde of the shifted rows over that of the
+    empty frame, in exact integer arithmetic; ``d`` defaults to the frame's
+    row count and may pad extra zero rows.
     """
     if d is None:
         d = frame.d
     if frame.nonzero_rows() > d:
         raise ValueError(f"frame {frame} has more than {d} nonzero rows")
-    rows = (frame.rows + (0,) * d)[:d]
-    numerator = 1
-    denominator = 1
-    for i in range(d):
-        for j in range(i + 1, d):
-            numerator *= rows[i] - rows[j] + j - i
-            denominator *= j - i
+    numerator = _vandermonde(_shifted_rows((frame.rows + (0,) * d)[:d]))
+    denominator = _vandermonde(range(d - 1, -1, -1))
     if numerator % denominator != 0:
         raise AssertionError("Weyl dimension product must divide exactly")
     return numerator // denominator
 
 
 def log_dim_unitary_irrep(frame: YoungFrame, d: int | None = None) -> float:
-    if d is None:
-        d = frame.d
-    if frame.nonzero_rows() > d:
-        raise ValueError(f"frame {frame} has more than {d} nonzero rows")
-    rows = (frame.rows + (0,) * d)[:d]
-    total = 0.0
-    for i in range(d):
-        for j in range(i + 1, d):
-            total += math.log(rows[i] - rows[j] + j - i) - math.log(j - i)
-    return total
+    return math.log(dim_unitary_irrep(frame, d))
 
 
 def dim_poly_bound(d: int, boxes: int) -> int:

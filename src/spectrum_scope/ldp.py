@@ -14,7 +14,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConvergenceError, EmptyRegionError
-from .frames import Spectrum, dim_symmetric_irrep
+from .frames import Spectrum, dim_symmetric_irrep, enumerate_frames
 from .logspace import NEG_INF, log_sum_exp
 from .measure import (
     BallComplement,
@@ -235,23 +235,6 @@ class RegionInfimum:
     minimizer: Spectrum | None
 
 
-def _ordered_grid(d: int, resolution: int):
-    """Lattice points k/resolution of the closed ordered simplex."""
-
-    def rec(remaining: int, max_part: int, slots: int):
-        if slots == 1:
-            if remaining <= max_part:
-                yield (remaining,)
-            return
-        lowest = -(-remaining // slots)
-        for part in range(min(remaining, max_part), lowest - 1, -1):
-            for rest in rec(remaining - part, part, slots - 1):
-                yield (part,) + rest
-
-    for ticks in rec(resolution, resolution, d):
-        yield tuple(t / resolution for t in ticks)
-
-
 def _minimize_rate_convex(
     reference: Sequence[float],
     d: int,
@@ -364,7 +347,9 @@ def inf_rate_over_region(
         return best
 
     seeds: list[tuple[float, tuple[float, ...]]] = []
-    for point in _ordered_grid(d, grid_resolution):
+    # lattice points k/resolution of the closed ordered simplex
+    for frame in enumerate_frames(d, grid_resolution):
+        point = tuple(t / grid_resolution for t in frame.rows)
         if region.contains_point(point):
             seeds.append((rate(point, reference), point))
     seeds.sort(key=lambda item: item[0])

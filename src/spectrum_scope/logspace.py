@@ -13,16 +13,6 @@ import numpy as np
 NEG_INF = float("-inf")
 
 
-def log_add(a: float, b: float) -> float:
-    """log(e^a + e^b) without overflow; -inf acts as the additive zero."""
-    if a == NEG_INF:
-        return b
-    if b == NEG_INF:
-        return a
-    hi, lo = (a, b) if a >= b else (b, a)
-    return hi + math.log1p(math.exp(lo - hi))
-
-
 def log_sum_exp(values) -> float:
     """log(sum(exp(values))) over the given order; empty or all -inf gives -inf."""
     arr = np.asarray(values, dtype=float)

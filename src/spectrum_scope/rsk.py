@@ -18,10 +18,13 @@ from typing import Mapping
 
 import numpy as np
 
+from .errors import ResourceLimitError
 from .frames import YoungFrame, Spectrum
 from .measure import SchurWeylDistribution
 
 THREAD_ENV_VAR = "SPECTRUM_SCOPE_THREADS"
+# largest d x d int64 count-matrix batch one chain may allocate
+MAX_CHAIN_BYTES = 2**30
 
 
 @dataclass(frozen=True)
@@ -153,6 +156,12 @@ def _insert_batch(counts: np.ndarray, letters: np.ndarray) -> None:
 
 def _sample_shapes(cfg: SamplerConfig, chain: int, count: int) -> Counter:
     """Shape counts for one chain; vectorized across its samples."""
+    needed = count * cfg.d * cfg.d * 8
+    if needed > MAX_CHAIN_BYTES:
+        raise ResourceLimitError(
+            f"one chain of {count} samples at d={cfg.d} needs {needed} bytes of "
+            f"count matrices, over the cap of {MAX_CHAIN_BYTES}"
+        )
     rng = _chain_rng(cfg.seed, chain)
     cumulative = np.cumsum(np.asarray(cfg.spectrum.values))
     counts = np.zeros((count, cfg.d, cfg.d), dtype=np.int64)

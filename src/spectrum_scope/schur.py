@@ -22,6 +22,7 @@ from .frames import (
     YoungFrame,
     Spectrum,
     dim_symmetric_irrep,
+    enumerate_frames,
     log_dim_unitary_irrep,
 )
 from .logspace import NEG_INF, log_sum_exp
@@ -38,6 +39,9 @@ class DiagonalState:
     log_eigenvalues: tuple[float, ...]
 
     def __post_init__(self):
+        # -inf is the log of a zero eigenvalue; NaN and +inf are rejected
+        if not all(h < math.inf for h in self.log_eigenvalues):
+            raise ValueError(f"log eigenvalues must be finite or -inf: {self.log_eigenvalues}")
         for upper, lower in zip(self.log_eigenvalues, self.log_eigenvalues[1:]):
             if upper < lower:
                 raise ValueError("log eigenvalues must be non-increasing")
@@ -310,20 +314,6 @@ def character_bounds_check(
     return CharacterBounds(lower=lower, value=value, upper=upper, holds=holds)
 
 
-def _cycle_types(n: int):
-    """Partitions of n (parts >= 1, non-increasing), largest part first."""
-
-    def rec(remaining: int, max_part: int):
-        if remaining == 0:
-            yield ()
-            return
-        for part in range(min(remaining, max_part), 0, -1):
-            for rest in rec(remaining - part, part):
-                yield (part,) + rest
-
-    yield from rec(n, n)
-
-
 @cache
 def _mn_character(rows: tuple[int, ...], cycles: tuple[int, ...]) -> int:
     if not cycles:
@@ -390,7 +380,9 @@ def brute_force_frame_probability(frame: YoungFrame, spectrum: Spectrum) -> floa
     if n == 0:
         return 1.0
     total = 0.0
-    for cycles in _cycle_types(n):
+    # cycle types: partitions of n, largest part first
+    for cycle_frame in enumerate_frames(n, n):
+        cycles = tuple(part for part in cycle_frame.rows if part)
         character = sn_character(frame, cycles)
         if character == 0:
             continue

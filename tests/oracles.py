@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import bisect
 import itertools
+import math
 from collections import Counter
 
 
@@ -50,6 +51,17 @@ def standard_tableaux_count(shape) -> int:
         return total
 
     return rec(rows)
+
+
+def hook_length_count(shape) -> int:
+    """Standard fillings by the hook-length formula: N! over the product of hooks."""
+    rows = [r for r in shape if r > 0]
+    product = 1
+    for i, length in enumerate(rows):
+        for j in range(length):
+            leg = sum(1 for below in rows[i + 1 :] if below > j)
+            product *= length - j + leg
+    return math.factorial(sum(rows)) // product
 
 
 def ssyt_contents(shape, d: int):

@@ -79,6 +79,24 @@ class TestDist:
         assert code == 3
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["dist", "--d", 2, "--n", 5, "--spectrum={bad},1"],
+        ["sample", "--d", 2, "--n", 5, "--spectrum={bad},1", "--samples", 10],
+        ["rate-scan", "--d", 2, "--spectrum={bad},1", "--epsilon", "0.1", "--n-list", "10"],
+        ["legendre", "--d", 2, "--spectrum", "0.6,0.4", "--s-point={bad},1"],
+    ],
+    ids=lambda command: command[0],
+)
+def test_non_finite_input_writes_nothing(tmp_path, command, bad):
+    out = tmp_path / "out.csv"
+    argv = [a.format(bad=bad) if isinstance(a, str) else a for a in command]
+    assert run(argv + ["--out", out]) == 2
+    assert list(tmp_path.iterdir()) == []
+
+
 class TestManifest:
     def test_written_with_checksum(self, tmp_path):
         out = tmp_path / "dist.csv"
@@ -148,6 +166,13 @@ class TestSample:
         rows = read_csv(out)
         assert len(rows) == 1
         assert (rows[0]["Y1"], rows[0]["Y2"]) == ("7", "0")
+
+    def test_sample_memory_cap_exit_code(self, tmp_path):
+        # the cap is checked before the count matrices are allocated
+        out = tmp_path / "s.csv"
+        args = ["sample", "--d", 3, "--n", 5, "--spectrum", "0.5,0.3,0.2", "--samples", 10**11]
+        assert run(args + ["--out", out]) == 3
+        assert list(tmp_path.iterdir()) == []
 
     def test_rejects_zero_samples(self, tmp_path):
         assert run(["sample", "--d", 2, "--n", 3, "--spectrum", "0.5,0.5", "--samples", 0, "--out", tmp_path / "x.csv"]) == 2

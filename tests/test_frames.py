@@ -5,7 +5,12 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import partition_rows
-from oracles import count_partitions, ssyt_contents, standard_tableaux_count
+from oracles import (
+    count_partitions,
+    hook_length_count,
+    ssyt_contents,
+    standard_tableaux_count,
+)
 
 from spectrum_scope import (
     Spectrum,
@@ -85,6 +90,23 @@ class TestSymmetricDimension:
                 for frame in enumerate_frames(d, n):
                     assert dim_symmetric_irrep(frame) == standard_tableaux_count(frame.rows)
 
+    def test_frobenius_matches_hook_length_oracle(self):
+        for d in range(1, 6):
+            for n in range(0, 31):
+                for frame in enumerate_frames(d, n):
+                    assert dim_symmetric_irrep(frame) == hook_length_count(frame.rows)
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            (400, 0, 0), (399, 1, 0), (398, 1, 1), (200, 200, 0), (134, 133, 133),
+            (400, 0, 0, 0), (397, 1, 1, 1), (200, 200, 0, 0), (100, 100, 100, 100),
+            (101, 100, 100, 99), (250, 100, 40, 10),
+        ],
+    )
+    def test_frobenius_matches_hook_length_oracle_at_cap(self, rows):
+        assert dim_symmetric_irrep(YoungFrame(rows)) == hook_length_count(rows)
+
     def test_log_path_matches_exact_path(self):
         # the exact integer stays available far beyond float range; the log
         # paths must agree wherever both are defined, i.e. everywhere
@@ -92,6 +114,15 @@ class TestSymmetricDimension:
             frame = YoungFrame(rows)
             exact = math.log(dim_symmetric_irrep(frame))
             assert log_dim_symmetric_irrep(frame) == pytest.approx(exact, abs=1e-9)
+
+
+class TestSpectrumValidation:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            Spectrum((1.0, bad))
+        with pytest.raises(ValueError, match="finite"):
+            Spectrum((bad, 0.0))
 
 
 class TestUnitaryDimension:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import random_spectrum
-from oracles import word_shape_distribution
+from oracles import hook_length_count, word_shape_distribution
 
 from spectrum_scope import (
     BallComplement,
@@ -81,6 +81,17 @@ class TestExactDistribution:
         a = exact_distribution(3, 12, shuffled)
         b = exact_distribution(3, 12, canonical)
         assert a.log_probs == b.log_probs
+
+    @pytest.mark.parametrize(
+        "boxes, values", [(200, (0.5, 0.3, 0.2)), (100, (0.4, 0.3, 0.2, 0.1))]
+    )
+    def test_log_probs_are_schur_plus_log_hook_count(self, boxes, values):
+        # bit-for-bit: the outcome law must not depend on how f^Y is computed
+        spectrum = Spectrum(values)
+        table = SchurTable(spectrum, boxes)
+        dist = exact_distribution(len(values), boxes, spectrum, table=table)
+        for frame, lp in dist.items():
+            assert lp == table.log_value(frame.rows) + math.log(hook_length_count(frame.rows))
 
     def test_dimension_cap(self):
         with pytest.raises(ResourceLimitError, match="frames"):

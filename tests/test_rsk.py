@@ -8,6 +8,7 @@ from oracles import rsk_shape, word_shape_distribution
 
 from spectrum_scope import (
     CompactTableau,
+    ResourceLimitError,
     SamplerConfig,
     Spectrum,
     YoungFrame,
@@ -124,6 +125,11 @@ class TestSampling:
     def test_counts_reproducible(self):
         cfg = SamplerConfig(d=3, boxes=10, spectrum=Spectrum((0.5, 0.3, 0.2)), seed=13, chains=4)
         assert sample_frame_counts(cfg, 5000) == sample_frame_counts(cfg, 5000)
+
+    def test_allocation_cap_checked_before_allocating(self):
+        cfg = SamplerConfig(d=3, boxes=5, spectrum=Spectrum((0.5, 0.3, 0.2)), seed=1)
+        with pytest.raises(ResourceLimitError, match="bytes"):
+            sample_frame_counts(cfg, 10**11)
 
     def test_counts_thread_invariant(self, monkeypatch):
         cfg = SamplerConfig(d=3, boxes=8, spectrum=Spectrum((0.6, 0.3, 0.1)), seed=29, chains=5)

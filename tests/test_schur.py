@@ -175,6 +175,17 @@ class TestWeights:
             weight_multiplicities(YoungFrame((13, 0)))
 
 
+class TestDiagonalState:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_nan_and_positive_infinity(self, bad):
+        with pytest.raises(ValueError):
+            DiagonalState((0.0, bad))
+
+    def test_negative_infinity_is_a_zero_eigenvalue(self):
+        state = DiagonalState((0.0, NEG_INF))
+        assert state.to_spectrum().values == (1.0, 0.0)
+
+
 class TestCharacterFromWeights:
     def test_single_weight(self):
         state = DiagonalState.from_spectrum(Spectrum((0.5, 0.5)))
