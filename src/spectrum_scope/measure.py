@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import abc
 import math
+import numbers
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -99,6 +100,12 @@ def exact_distribution(
     return SchurWeylDistribution(spectrum=spectrum, frames=frames, log_probs=log_probs)
 
 
+def _require_finite(what: str, values: Sequence[float | Fraction]) -> None:
+    # rationals are finite, and float() of a large one would overflow
+    if not all(isinstance(v, numbers.Rational) or math.isfinite(v) for v in values):
+        raise ValueError(f"{what} must be finite: {tuple(values)}")
+
+
 class Region(abc.ABC):
     """Measurable subset of the closed ordered simplex."""
 
@@ -133,6 +140,9 @@ class BallComplement(Region):
     radius: float | Fraction
     small_boundary: bool = field(default=True, init=False)
 
+    def __post_init__(self):
+        _require_finite("ball center and radius", (*self.center, self.radius))
+
     @cached_property
     def _exact_center(self) -> tuple[Fraction, ...]:
         return tuple(Fraction(c) for c in self.center)
@@ -164,6 +174,9 @@ class HalfSpace(Region):
     normal: tuple[float, ...]
     offset: float
     small_boundary: bool = field(default=True, init=False)
+
+    def __post_init__(self):
+        _require_finite("half-space normal and offset", (*self.normal, self.offset))
 
     def contains_point(self, values: Sequence[float]) -> bool:
         return math.fsum(n * v for n, v in zip(self.normal, values)) >= self.offset

@@ -1,20 +1,24 @@
 """Exact outcome sampling by row insertion of an i.i.d. letter stream.
 
-Inserting N letters drawn with the eigenvalue probabilities into a
-semistandard tableau and keeping only the shape reproduces the exact
-measurement outcome law, so sampling scales to box counts far beyond
-enumeration range. Tableaux over a d-letter alphabet are runs of repeated
-letters per row, stored as a d x d count matrix: insertion cost is
-independent of N.
+Row-inserting N letters drawn with the eigenvalue probabilities and keeping
+only the shape reproduces the exact measurement outcome law, so sampling
+scales to box counts far beyond enumeration range. The sampler never builds
+a tableau: by Greene's theorem the shape is the endpoint of the letter-count
+path after one Pitman transform per letter pair (O'Connell, Trans. AMS 355
+(2003); Biane-Bougerol-O'Connell, Duke Math. J. 130 (2005)). That is O(d^2)
+work per letter, vectorized across samples and streamed in time blocks of
+bounded size. ``insert_letter`` keeps explicit insertion into a d x d
+count-matrix tableau as the reference.
 """
 from __future__ import annotations
 
+import itertools
 import math
 import os
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -23,8 +27,14 @@ from .frames import YoungFrame, Spectrum
 from .measure import SchurWeylDistribution
 
 THREAD_ENV_VAR = "SPECTRUM_SCOPE_THREADS"
-# largest d x d int64 count-matrix batch one chain may allocate
+# largest path state plus letter block one chain may allocate
 MAX_CHAIN_BYTES = 2**30
+# time steps x samples per streamed letter block, (d + 4) x 64 KiB of arrays
+# per chain; 2^14 put the peak RSS of a 2-chain d=3 run 1 MB higher
+_BLOCK_CELLS = 2**13
+# row width in cells from which one ufunc call per row beats numpy's
+# column-wise accumulate (crossover near 400 cells on a 2-vCPU VM, numpy 2.4)
+_ROW_WISE_WIDTH = 512
 
 
 @dataclass(frozen=True)
@@ -132,45 +142,69 @@ def _chain_rng(seed: int, chain: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(sequence))
 
 
-def _insert_batch(counts: np.ndarray, letters: np.ndarray) -> None:
-    """Insert one letter per sample into a batch of count matrices, in place."""
-    d = counts.shape[1]
-    active = np.arange(counts.shape[0])
-    carry = letters.astype(np.int64)
-    alphabet = np.arange(d)
-    for row in range(d):
-        if active.size == 0:
-            return
-        row_counts = counts[active, row, :]
-        bumpable = (alphabet[None, :] > carry[:, None]) & (row_counts > 0)
-        has_bump = bumpable.any(axis=1)
-        bumped = np.argmax(bumpable, axis=1)
-        counts[active, row, carry] += 1
-        active = active[has_bump]
-        bumped = bumped[has_bump]
-        counts[active, row, bumped] -= 1
-        carry = bumped
-    if active.size:  # pragma: no cover - insertion always terminates within d rows
-        raise AssertionError("bumping chain escaped the tableau")
+def _accumulate(ufunc: np.ufunc, a: np.ndarray) -> np.ndarray:
+    """``ufunc.accumulate`` down axis 0, in place; wide rows go row by row,
+    because numpy accumulates column by column at ~5x the cost per cell."""
+    if a[0].size < _ROW_WISE_WIDTH:
+        return ufunc.accumulate(a, axis=0, out=a)
+    for t in range(1, len(a)):
+        ufunc(a[t - 1], a[t], out=a[t])
+    return a
+
+
+def _word_shapes(blocks: Iterable[np.ndarray], d: int, count: int) -> np.ndarray:
+    """Row-insertion shapes ``(count, d)`` of words given as ``(T, count)``
+    blocks of 0-based letters, row ``t`` holding every word's next letter.
+
+    The shape is the endpoint of the letter-count path ``x`` after, for each
+    pair ``i < j`` in lexicographic order, ``lift = max(0, running max of
+    x_i - x_j) - (x_i - x_j)``, ``x_i += lift``, ``x_j -= lift``. Every step
+    is causal, so blocks carry only the raw endpoints and the pair peaks.
+    """
+    ends = np.zeros((d, count), dtype=np.int64)
+    peaks = np.zeros((d * (d - 1) // 2, count), dtype=np.int64)
+    paths = ends[None]  # no blocks: every shape is empty
+    for letters in blocks:
+        paths = (letters[:, None, :] == np.arange(d)[:, None]).astype(np.int64)
+        paths[0] += ends
+        ends = _accumulate(np.add, paths)[-1].copy()
+        for pair, (i, j) in enumerate(itertools.combinations(range(d), 2)):
+            diff = paths[:, i] - paths[:, j]
+            lift = diff.copy()
+            np.maximum(lift[0], peaks[pair], out=lift[0])
+            peaks[pair] = _accumulate(np.maximum, lift)[-1]
+            lift -= diff
+            paths[:, i] += lift
+            paths[:, j] -= lift
+    return paths[-1].T
 
 
 def _sample_shapes(cfg: SamplerConfig, chain: int, count: int) -> Counter:
     """Shape counts for one chain; vectorized across its samples."""
-    needed = count * cfg.d * cfg.d * 8
+    d = cfg.d
+    steps = max(1, min(cfg.boxes, _BLOCK_CELLS // count))
+    # carried endpoints and pair peaks, then per block cell: d paths, the
+    # draw, the letter and two pair temporaries
+    needed = 8 * count * (d + d * (d - 1) // 2 + (d + 4) * steps)
     if needed > MAX_CHAIN_BYTES:
         raise ResourceLimitError(
-            f"one chain of {count} samples at d={cfg.d} needs {needed} bytes of "
-            f"count matrices, over the cap of {MAX_CHAIN_BYTES}"
+            f"one chain of {count} samples at d={d} needs {needed} bytes of "
+            f"path state and letter blocks, over the cap of {MAX_CHAIN_BYTES}"
         )
     rng = _chain_rng(cfg.seed, chain)
     cumulative = np.cumsum(np.asarray(cfg.spectrum.values))
-    counts = np.zeros((count, cfg.d, cfg.d), dtype=np.int64)
-    for _ in range(cfg.boxes):
-        draws = rng.random(count)
-        letters = np.searchsorted(cumulative, draws, side="right")
-        np.clip(letters, 0, cfg.d - 1, out=letters)
-        _insert_batch(counts, letters)
-    shapes = counts.sum(axis=2)
+
+    def letter_blocks() -> Iterator[np.ndarray]:
+        # one (T, count) draw gives the same doubles as T draws of count;
+        # the letter counts the first d-1 cumulative sums at or below the draw
+        for start in range(0, cfg.boxes, steps):
+            draws = rng.random((min(steps, cfg.boxes - start), count))
+            letters = np.zeros(draws.shape, dtype=np.int64)
+            for threshold in cumulative[:-1]:
+                letters += draws >= threshold
+            yield letters
+
+    shapes = _word_shapes(letter_blocks(), d, count)
     unique, multiplicities = np.unique(shapes, axis=0, return_counts=True)
     return Counter(
         {tuple(int(v) for v in rows): int(m) for rows, m in zip(unique, multiplicities)}

@@ -157,6 +157,22 @@ class TestRegions:
         )
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda bad: HalfSpace(normal=(bad, 0.0), offset=0.5),
+        lambda bad: HalfSpace(normal=(1.0, 0.0), offset=bad),
+        lambda bad: BallComplement(center=(0.7, bad), radius=0.1),
+        lambda bad: BallComplement(center=(0.7, 0.3), radius=bad),
+    ],
+    ids=["normal", "offset", "center", "radius"],
+)
+def test_region_rejects_non_finite_data(make, bad):
+    with pytest.raises(ValueError, match="finite"):
+        make(bad)
+
+
 class TestMode:
     def test_skewed_two_copies(self):
         dist = exact_distribution(2, 2, Spectrum((0.9, 0.1)))

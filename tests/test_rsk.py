@@ -19,7 +19,8 @@ from spectrum_scope import (
     sample_frame,
     sample_frame_counts,
 )
-from spectrum_scope.rsk import THREAD_ENV_VAR
+from spectrum_scope import rsk
+from spectrum_scope.rsk import THREAD_ENV_VAR, _word_shapes
 
 
 class TestCompactTableau:
@@ -93,6 +94,40 @@ class TestInsertLetter:
                 t = insert_letter(t, int(letter))
                 assert t.boxes() == before + 1
                 operations += 1
+
+
+class TestPathTransformKernel:
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_insertion(self, data):
+        d = data.draw(st.integers(1, 6))
+        length = data.draw(st.integers(0, 60))
+        count = data.draw(st.integers(1, 3))
+        steps = data.draw(st.integers(1, max(length, 1)))
+        cells = length * count
+        flat = data.draw(st.lists(st.integers(0, d - 1), min_size=cells, max_size=cells))
+        letters = np.array(flat, dtype=np.int64).reshape(length, count)
+        blocks = [letters[start : start + steps] for start in range(0, length, steps)]
+        shapes = _word_shapes(blocks, d, count)
+        for sample in range(count):
+            word = [int(letter) + 1 for letter in letters[:, sample]]
+            t = CompactTableau.empty(d)
+            for letter in word:
+                t = insert_letter(t, letter)
+            expected = rsk_shape(word)
+            assert tuple(shapes[sample]) == t.shape() == expected + (0,) * (d - len(expected))
+
+    @pytest.mark.parametrize("cells, row_width", [(1, 10**9), (7, 10**9), (7, 1), (2**13, 1)])
+    def test_block_boundaries_do_not_move_counts(self, monkeypatch, cells, row_width):
+        spectrum = Spectrum((0.4, 0.3, 0.2, 0.1))
+        cfg = SamplerConfig(d=4, boxes=40, spectrum=spectrum, seed=3, chains=2)
+        # 1 and 3 samples per chain fit several steps in a 7-cell block;
+        # 1500 per chain make rows wide enough for the row-wise path
+        default = {samples: sample_frame_counts(cfg, samples) for samples in (2, 6, 3000)}
+        monkeypatch.setattr(rsk, "_BLOCK_CELLS", cells)
+        monkeypatch.setattr(rsk, "_ROW_WISE_WIDTH", row_width)
+        for samples, expected in default.items():
+            assert sample_frame_counts(cfg, samples) == expected
 
 
 class TestSamplerConfig:
@@ -216,3 +251,201 @@ class TestAgainstWordEnumeration:
             observed = counts.get(rows, 0) / samples
             sigma = math.sqrt(prob * (1 - prob) / samples)
             assert abs(observed - prob) <= 5 * sigma
+
+
+# Counts recorded by letter-by-letter row insertion of the same streams
+# (seed 7, 2 chains, 500 samples). The sampler promises seed-for-seed output,
+# so any shape kernel must reproduce them exactly.
+PINNED_COUNTS = [
+    (3, 200, (0.5, 0.3, 0.2), {
+        (120, 53, 27): 1, (118, 46, 36): 1, (117, 56, 27): 1, (117, 49, 34): 1,
+        (116, 57, 27): 1, (116, 56, 28): 1, (116, 52, 32): 2, (115, 63, 22): 1,
+        (115, 52, 33): 1, (115, 51, 34): 1, (115, 48, 37): 1, (114, 58, 28): 1,
+        (114, 56, 30): 1, (114, 49, 37): 1, (114, 48, 38): 1, (113, 59, 28): 1,
+        (113, 58, 29): 2, (113, 52, 35): 1, (113, 48, 39): 1, (112, 57, 31): 1,
+        (112, 56, 32): 1, (112, 52, 36): 2, (112, 51, 37): 1, (112, 49, 39): 2,
+        (111, 62, 27): 1, (111, 57, 32): 1, (111, 55, 34): 2, (111, 54, 35): 1,
+        (111, 53, 36): 1, (110, 62, 28): 1, (110, 60, 30): 1, (110, 59, 31): 1,
+        (110, 58, 32): 1, (110, 56, 34): 1, (110, 53, 37): 1, (110, 52, 38): 1,
+        (110, 51, 39): 1, (110, 50, 40): 2, (110, 49, 41): 1, (109, 63, 28): 1,
+        (109, 59, 32): 2, (109, 57, 34): 5, (109, 55, 36): 4, (109, 54, 37): 1,
+        (109, 53, 38): 1, (109, 52, 39): 1, (109, 51, 40): 1, (109, 50, 41): 1,
+        (109, 49, 42): 1, (109, 48, 43): 1, (108, 64, 28): 1, (108, 62, 30): 1,
+        (108, 61, 31): 4, (108, 60, 32): 3, (108, 59, 33): 1, (108, 58, 34): 3,
+        (108, 57, 35): 2, (108, 56, 36): 2, (108, 55, 37): 3, (108, 54, 38): 2,
+        (108, 53, 39): 1, (108, 52, 40): 1, (108, 51, 41): 1, (108, 50, 42): 1,
+        (107, 65, 28): 3, (107, 63, 30): 1, (107, 62, 31): 1, (107, 61, 32): 1,
+        (107, 60, 33): 2, (107, 59, 34): 1, (107, 57, 36): 1, (107, 55, 38): 2,
+        (107, 53, 40): 2, (107, 52, 41): 1, (107, 51, 42): 1, (106, 67, 27): 1,
+        (106, 65, 29): 1, (106, 64, 30): 3, (106, 63, 31): 2, (106, 61, 33): 2,
+        (106, 60, 34): 2, (106, 59, 35): 2, (106, 58, 36): 3, (106, 57, 37): 1,
+        (106, 56, 38): 4, (106, 55, 39): 3, (106, 54, 40): 2, (106, 53, 41): 1,
+        (106, 52, 42): 2, (106, 51, 43): 2, (105, 69, 26): 1, (105, 67, 28): 1,
+        (105, 65, 30): 2, (105, 64, 31): 1, (105, 63, 32): 2, (105, 62, 33): 2,
+        (105, 61, 34): 1, (105, 60, 35): 4, (105, 59, 36): 2, (105, 58, 37): 4,
+        (105, 57, 38): 2, (105, 55, 40): 2, (105, 52, 43): 4, (105, 51, 44): 1,
+        (105, 50, 45): 1, (105, 49, 46): 1, (104, 68, 28): 2, (104, 67, 29): 1,
+        (104, 65, 31): 1, (104, 64, 32): 4, (104, 63, 33): 3, (104, 62, 34): 1,
+        (104, 61, 35): 1, (104, 60, 36): 3, (104, 59, 37): 3, (104, 58, 38): 1,
+        (104, 57, 39): 2, (104, 56, 40): 5, (104, 55, 41): 2, (104, 54, 42): 1,
+        (104, 53, 43): 3, (104, 52, 44): 1, (104, 51, 45): 1, (103, 69, 28): 2,
+        (103, 67, 30): 2, (103, 66, 31): 1, (103, 65, 32): 2, (103, 64, 33): 1,
+        (103, 63, 34): 3, (103, 62, 35): 2, (103, 61, 36): 3, (103, 60, 37): 1,
+        (103, 59, 38): 2, (103, 58, 39): 3, (103, 57, 40): 3, (103, 56, 41): 2,
+        (103, 55, 42): 1, (103, 51, 46): 1, (103, 50, 47): 1, (102, 68, 30): 1,
+        (102, 67, 31): 1, (102, 66, 32): 1, (102, 65, 33): 4, (102, 64, 34): 4,
+        (102, 63, 35): 3, (102, 62, 36): 4, (102, 61, 37): 3, (102, 60, 38): 1,
+        (102, 59, 39): 2, (102, 58, 40): 5, (102, 57, 41): 1, (102, 56, 42): 4,
+        (102, 55, 43): 3, (102, 54, 44): 3, (102, 53, 45): 2, (101, 68, 31): 1,
+        (101, 67, 32): 1, (101, 66, 33): 2, (101, 65, 34): 4, (101, 64, 35): 1,
+        (101, 63, 36): 3, (101, 62, 37): 4, (101, 61, 38): 1, (101, 60, 39): 1,
+        (101, 59, 40): 3, (101, 58, 41): 3, (101, 57, 42): 4, (101, 56, 43): 1,
+        (101, 54, 45): 1, (100, 72, 28): 2, (100, 70, 30): 2, (100, 69, 31): 1,
+        (100, 67, 33): 2, (100, 65, 35): 3, (100, 64, 36): 4, (100, 63, 37): 1,
+        (100, 62, 38): 4, (100, 61, 39): 2, (100, 60, 40): 3, (100, 59, 41): 2,
+        (100, 57, 43): 3, (100, 56, 44): 2, (100, 54, 46): 1, (99, 74, 27): 1,
+        (99, 73, 28): 2, (99, 72, 29): 1, (99, 71, 30): 1, (99, 68, 33): 3, (99, 66, 35): 1,
+        (99, 65, 36): 2, (99, 64, 37): 3, (99, 63, 38): 1, (99, 62, 39): 2, (99, 61, 40): 2,
+        (99, 60, 41): 1, (99, 59, 42): 1, (99, 58, 43): 1, (99, 57, 44): 1, (99, 55, 46): 1,
+        (98, 75, 27): 1, (98, 73, 29): 1, (98, 70, 32): 3, (98, 68, 34): 2, (98, 65, 37): 3,
+        (98, 63, 39): 1, (98, 62, 40): 2, (98, 60, 42): 4, (98, 59, 43): 2, (98, 58, 44): 1,
+        (98, 56, 46): 1, (98, 54, 48): 2, (97, 69, 34): 2, (97, 68, 35): 3, (97, 67, 36): 1,
+        (97, 66, 37): 1, (97, 65, 38): 4, (97, 63, 40): 5, (97, 62, 41): 1, (97, 60, 43): 2,
+        (97, 59, 44): 1, (97, 58, 45): 2, (97, 55, 48): 1, (96, 71, 33): 1, (96, 69, 35): 1,
+        (96, 68, 36): 1, (96, 66, 38): 1, (96, 65, 39): 1, (96, 63, 41): 3, (96, 62, 42): 2,
+        (96, 61, 43): 1, (96, 60, 44): 2, (96, 59, 45): 1, (96, 58, 46): 4, (96, 55, 49): 1,
+        (95, 74, 31): 1, (95, 72, 33): 2, (95, 65, 40): 2, (95, 64, 41): 1, (95, 63, 42): 1,
+        (95, 62, 43): 1, (95, 61, 44): 1, (95, 58, 47): 1, (95, 57, 48): 2, (95, 56, 49): 4,
+        (94, 72, 34): 1, (94, 71, 35): 1, (94, 70, 36): 1, (94, 68, 38): 1, (94, 66, 40): 2,
+        (94, 64, 42): 1, (94, 62, 44): 1, (94, 61, 45): 2, (94, 57, 49): 1, (93, 74, 33): 1,
+        (93, 72, 35): 1, (93, 69, 38): 1, (93, 63, 44): 1, (93, 62, 45): 1, (93, 60, 47): 1,
+        (93, 58, 49): 1, (92, 72, 36): 1, (92, 71, 37): 1, (92, 70, 38): 2, (92, 69, 39): 1,
+        (92, 65, 43): 1, (92, 64, 44): 1, (92, 63, 45): 2, (92, 58, 50): 1, (92, 56, 52): 1,
+        (91, 70, 39): 1, (91, 69, 40): 1, (91, 68, 41): 1, (91, 66, 43): 1, (91, 64, 45): 1,
+        (91, 62, 47): 1, (91, 61, 48): 1, (91, 60, 49): 1, (90, 68, 42): 2, (90, 66, 44): 1,
+        (89, 73, 38): 1, (89, 71, 40): 1, (89, 69, 42): 1, (88, 77, 35): 1, (88, 75, 37): 1,
+        (88, 74, 38): 1, (88, 72, 40): 1, (88, 67, 45): 2, (88, 65, 47): 1, (88, 63, 49): 1,
+        (88, 61, 51): 1, (87, 75, 38): 1, (87, 67, 46): 1, (86, 79, 35): 1, (86, 70, 44): 1,
+        (85, 72, 43): 1, (85, 67, 48): 1,
+    }),
+    (5, 40, (0.3, 0.25, 0.2, 0.15, 0.1), {
+        (23, 9, 4, 4, 0): 1, (23, 8, 6, 3, 0): 1, (22, 12, 3, 3, 0): 2,
+        (22, 10, 6, 2, 0): 1, (22, 10, 5, 3, 0): 1, (22, 10, 3, 3, 2): 1,
+        (22, 9, 7, 2, 0): 1, (22, 8, 7, 2, 1): 1, (22, 8, 5, 5, 0): 1, (21, 13, 4, 1, 1): 1,
+        (21, 12, 5, 1, 1): 1, (21, 12, 4, 2, 1): 1, (21, 11, 4, 3, 1): 2,
+        (21, 10, 8, 1, 0): 1, (21, 10, 6, 3, 0): 2, (21, 10, 5, 4, 0): 1,
+        (21, 10, 5, 3, 1): 3, (21, 10, 4, 3, 2): 1, (21, 9, 7, 3, 0): 1,
+        (21, 9, 7, 2, 1): 1, (21, 9, 5, 4, 1): 1, (21, 8, 6, 4, 1): 1, (21, 8, 6, 3, 2): 1,
+        (21, 8, 5, 5, 1): 1, (20, 12, 6, 2, 0): 2, (20, 12, 5, 3, 0): 1,
+        (20, 12, 4, 3, 1): 1, (20, 11, 6, 3, 0): 2, (20, 11, 6, 2, 1): 2,
+        (20, 11, 4, 4, 1): 2, (20, 11, 4, 3, 2): 1, (20, 10, 8, 2, 0): 1,
+        (20, 10, 7, 3, 0): 1, (20, 10, 6, 4, 0): 1, (20, 10, 6, 3, 1): 2,
+        (20, 10, 5, 4, 1): 3, (20, 10, 5, 3, 2): 1, (20, 9, 7, 3, 1): 1,
+        (20, 9, 6, 4, 1): 1, (20, 9, 6, 3, 2): 3, (20, 9, 5, 5, 1): 1, (20, 9, 5, 4, 2): 2,
+        (20, 8, 6, 5, 1): 1, (20, 8, 6, 4, 2): 1, (19, 13, 6, 2, 0): 1,
+        (19, 13, 4, 3, 1): 1, (19, 12, 7, 2, 0): 2, (19, 12, 6, 3, 0): 4,
+        (19, 12, 6, 2, 1): 1, (19, 12, 5, 2, 2): 1, (19, 12, 4, 3, 2): 1,
+        (19, 11, 8, 2, 0): 1, (19, 11, 7, 3, 0): 2, (19, 11, 7, 2, 1): 2,
+        (19, 11, 6, 4, 0): 1, (19, 11, 6, 3, 1): 2, (19, 11, 5, 5, 0): 1,
+        (19, 11, 5, 4, 1): 1, (19, 10, 8, 3, 0): 2, (19, 10, 8, 2, 1): 1,
+        (19, 10, 7, 3, 1): 2, (19, 10, 6, 5, 0): 1, (19, 10, 6, 4, 1): 2,
+        (19, 10, 6, 3, 2): 1, (19, 10, 5, 4, 2): 1, (19, 9, 9, 3, 0): 1,
+        (19, 9, 9, 2, 1): 1, (19, 9, 8, 3, 1): 2, (19, 9, 7, 4, 1): 5, (19, 9, 5, 5, 2): 2,
+        (19, 9, 5, 4, 3): 1, (19, 8, 7, 5, 1): 1, (19, 8, 7, 4, 2): 3, (19, 8, 6, 5, 2): 1,
+        (19, 8, 5, 5, 3): 1, (19, 7, 7, 4, 3): 1, (18, 14, 4, 4, 0): 1,
+        (18, 14, 4, 3, 1): 1, (18, 13, 5, 4, 0): 1, (18, 13, 5, 3, 1): 1,
+        (18, 13, 4, 4, 1): 1, (18, 13, 4, 3, 2): 1, (18, 12, 7, 3, 0): 2,
+        (18, 12, 7, 2, 1): 1, (18, 12, 6, 3, 1): 2, (18, 12, 6, 2, 2): 2,
+        (18, 11, 10, 1, 0): 1, (18, 11, 8, 3, 0): 2, (18, 11, 7, 4, 0): 4,
+        (18, 11, 7, 3, 1): 2, (18, 11, 6, 5, 0): 1, (18, 11, 6, 4, 1): 5,
+        (18, 11, 6, 3, 2): 2, (18, 11, 5, 4, 2): 3, (18, 11, 5, 3, 3): 3,
+        (18, 10, 9, 3, 0): 1, (18, 10, 9, 2, 1): 1, (18, 10, 8, 4, 0): 1,
+        (18, 10, 8, 3, 1): 2, (18, 10, 7, 4, 1): 7, (18, 10, 7, 3, 2): 3,
+        (18, 10, 6, 5, 1): 2, (18, 10, 6, 4, 2): 4, (18, 10, 5, 4, 3): 2,
+        (18, 9, 9, 4, 0): 2, (18, 9, 9, 2, 2): 1, (18, 9, 7, 5, 1): 1, (18, 9, 7, 4, 2): 2,
+        (18, 9, 7, 3, 3): 1, (18, 9, 6, 6, 1): 1, (18, 9, 6, 5, 2): 1, (18, 9, 5, 5, 3): 2,
+        (18, 8, 6, 6, 2): 1, (17, 17, 5, 1, 0): 1, (17, 14, 6, 2, 1): 1,
+        (17, 13, 8, 2, 0): 4, (17, 13, 7, 2, 1): 2, (17, 13, 6, 4, 0): 2,
+        (17, 13, 6, 3, 1): 3, (17, 13, 6, 2, 2): 1, (17, 13, 5, 5, 0): 1,
+        (17, 13, 5, 4, 1): 3, (17, 13, 5, 3, 2): 2, (17, 12, 9, 2, 0): 1,
+        (17, 12, 8, 3, 0): 1, (17, 12, 8, 2, 1): 2, (17, 12, 7, 4, 0): 1,
+        (17, 12, 7, 2, 2): 1, (17, 12, 6, 5, 0): 1, (17, 12, 6, 4, 1): 6,
+        (17, 12, 6, 3, 2): 2, (17, 12, 5, 4, 2): 1, (17, 12, 5, 3, 3): 1,
+        (17, 11, 9, 2, 1): 3, (17, 11, 8, 4, 0): 1, (17, 11, 8, 3, 1): 2,
+        (17, 11, 8, 2, 2): 2, (17, 11, 7, 5, 0): 2, (17, 11, 7, 4, 1): 4,
+        (17, 11, 7, 3, 2): 5, (17, 11, 6, 5, 1): 1, (17, 11, 6, 4, 2): 4,
+        (17, 11, 6, 3, 3): 1, (17, 11, 5, 4, 3): 2, (17, 10, 9, 3, 1): 1,
+        (17, 10, 8, 5, 0): 1, (17, 10, 8, 4, 1): 2, (17, 10, 8, 3, 2): 3,
+        (17, 10, 7, 6, 0): 1, (17, 10, 7, 5, 1): 4, (17, 10, 7, 4, 2): 1,
+        (17, 10, 6, 6, 1): 2, (17, 10, 6, 5, 2): 4, (17, 10, 6, 4, 3): 4,
+        (17, 10, 5, 5, 3): 2, (17, 10, 5, 4, 4): 1, (17, 9, 9, 3, 2): 2,
+        (17, 9, 8, 6, 0): 1, (17, 9, 8, 4, 2): 2, (17, 9, 7, 5, 2): 2, (17, 9, 6, 5, 3): 1,
+        (16, 14, 7, 3, 0): 1, (16, 14, 7, 2, 1): 2, (16, 14, 5, 4, 1): 2,
+        (16, 14, 5, 3, 2): 1, (16, 13, 9, 2, 0): 1, (16, 13, 9, 1, 1): 1,
+        (16, 13, 8, 2, 1): 1, (16, 13, 7, 4, 0): 1, (16, 13, 7, 3, 1): 1,
+        (16, 13, 7, 2, 2): 1, (16, 13, 6, 4, 1): 2, (16, 13, 6, 3, 2): 4,
+        (16, 13, 5, 4, 2): 1, (16, 12, 9, 3, 0): 3, (16, 12, 8, 4, 0): 3,
+        (16, 12, 8, 3, 1): 2, (16, 12, 8, 2, 2): 1, (16, 12, 7, 4, 1): 2,
+        (16, 12, 7, 3, 2): 3, (16, 12, 6, 5, 1): 2, (16, 12, 6, 4, 2): 5,
+        (16, 12, 6, 3, 3): 1, (16, 12, 4, 4, 4): 1, (16, 11, 10, 2, 1): 1,
+        (16, 11, 9, 3, 1): 1, (16, 11, 8, 5, 0): 2, (16, 11, 8, 4, 1): 2,
+        (16, 11, 8, 3, 2): 2, (16, 11, 7, 6, 0): 1, (16, 11, 7, 5, 1): 3,
+        (16, 11, 7, 4, 2): 6, (16, 11, 6, 5, 2): 2, (16, 10, 10, 4, 0): 1,
+        (16, 10, 10, 2, 2): 1, (16, 10, 9, 4, 1): 2, (16, 10, 8, 6, 0): 1,
+        (16, 10, 8, 5, 1): 1, (16, 10, 8, 4, 2): 2, (16, 10, 8, 3, 3): 1,
+        (16, 10, 7, 6, 1): 1, (16, 10, 7, 5, 2): 3, (16, 10, 7, 4, 3): 3,
+        (16, 10, 6, 5, 3): 3, (16, 9, 8, 6, 1): 2, (16, 9, 8, 5, 2): 4, (16, 9, 7, 5, 3): 1,
+        (16, 8, 8, 5, 3): 1, (16, 8, 7, 6, 3): 1, (15, 14, 8, 3, 0): 1,
+        (15, 14, 8, 2, 1): 1, (15, 14, 7, 3, 1): 2, (15, 14, 6, 3, 2): 1,
+        (15, 13, 8, 2, 2): 1, (15, 13, 7, 5, 0): 1, (15, 13, 7, 4, 1): 2,
+        (15, 13, 7, 3, 2): 1, (15, 13, 6, 5, 1): 1, (15, 13, 6, 4, 2): 2,
+        (15, 13, 6, 3, 3): 1, (15, 13, 5, 4, 3): 1, (15, 12, 10, 2, 1): 1,
+        (15, 12, 8, 5, 0): 1, (15, 12, 8, 4, 1): 2, (15, 12, 8, 3, 2): 4,
+        (15, 12, 7, 5, 1): 4, (15, 12, 7, 4, 2): 5, (15, 12, 6, 5, 2): 4,
+        (15, 12, 5, 5, 3): 1, (15, 11, 9, 5, 0): 3, (15, 11, 9, 3, 2): 1,
+        (15, 11, 8, 6, 0): 1, (15, 11, 8, 5, 1): 1, (15, 11, 8, 4, 2): 3,
+        (15, 11, 8, 3, 3): 1, (15, 11, 7, 6, 1): 1, (15, 11, 7, 5, 2): 3,
+        (15, 11, 7, 4, 3): 2, (15, 11, 6, 5, 3): 1, (15, 10, 10, 3, 2): 1,
+        (15, 10, 9, 5, 1): 1, (15, 10, 9, 3, 3): 1, (15, 10, 8, 7, 0): 1,
+        (15, 10, 8, 6, 1): 1, (15, 10, 8, 5, 2): 2, (15, 10, 7, 6, 2): 2,
+        (15, 10, 7, 5, 3): 1, (15, 10, 6, 6, 3): 2, (15, 9, 8, 6, 2): 1,
+        (15, 9, 8, 5, 3): 2, (15, 9, 7, 5, 4): 1, (14, 14, 8, 4, 0): 1,
+        (14, 13, 9, 2, 2): 1, (14, 13, 8, 4, 1): 2, (14, 13, 8, 3, 2): 1,
+        (14, 13, 7, 5, 1): 1, (14, 13, 7, 3, 3): 1, (14, 13, 6, 5, 2): 1,
+        (14, 12, 11, 2, 1): 1, (14, 12, 9, 4, 1): 4, (14, 12, 9, 3, 2): 1,
+        (14, 12, 8, 5, 1): 3, (14, 12, 8, 4, 2): 2, (14, 12, 7, 6, 1): 2,
+        (14, 11, 9, 5, 1): 1, (14, 11, 8, 6, 1): 2, (14, 11, 8, 5, 2): 2,
+        (14, 11, 8, 4, 3): 1, (14, 11, 7, 6, 2): 1, (14, 11, 6, 6, 3): 1,
+        (14, 10, 9, 5, 2): 2, (14, 10, 9, 4, 3): 1, (14, 10, 8, 5, 3): 1,
+        (14, 10, 7, 7, 2): 2, (14, 10, 7, 6, 3): 1, (14, 10, 7, 5, 4): 1,
+        (14, 9, 8, 7, 2): 1, (14, 9, 8, 6, 3): 1, (14, 9, 7, 6, 4): 1, (13, 13, 8, 6, 0): 1,
+        (13, 13, 7, 4, 3): 1, (13, 13, 6, 6, 2): 1, (13, 12, 10, 3, 2): 1,
+        (13, 12, 8, 6, 1): 2, (13, 12, 8, 5, 2): 2, (13, 12, 7, 5, 3): 1,
+        (13, 11, 10, 5, 1): 1, (13, 11, 9, 5, 2): 2, (13, 11, 9, 4, 3): 2,
+        (13, 10, 10, 6, 1): 1, (13, 10, 10, 4, 3): 1, (13, 10, 8, 6, 3): 2,
+        (13, 10, 6, 6, 5): 1, (12, 12, 9, 4, 3): 1, (12, 12, 8, 5, 3): 1,
+        (12, 10, 10, 5, 3): 1,
+    }),
+    (1, 25, (1.0,), {
+        (25,): 500,
+    }),
+    (3, 0, (0.5, 0.3, 0.2), {
+        (0, 0, 0): 500,
+    }),
+    (3, 30, (0.5, 0.5, 0.0), {
+        (25, 5, 0): 3, (24, 6, 0): 3, (23, 7, 0): 11, (22, 8, 0): 24, (21, 9, 0): 45,
+        (20, 10, 0): 87, (19, 11, 0): 108, (18, 12, 0): 106, (17, 13, 0): 77,
+        (16, 14, 0): 33, (15, 15, 0): 3,
+    }),
+
+]
+
+
+@pytest.mark.parametrize(
+    "d, boxes, values, expected",
+    PINNED_COUNTS,
+    ids=["d3-N200", "d5-N40", "d1", "N0", "zero-eigenvalue"],
+)
+def test_counts_pinned_seed_for_seed(d, boxes, values, expected):
+    cfg = SamplerConfig(d=d, boxes=boxes, spectrum=Spectrum(values), seed=7, chains=2)
+    assert sample_frame_counts(cfg, 500) == expected
