@@ -29,12 +29,8 @@ from .measure import SchurWeylDistribution
 THREAD_ENV_VAR = "SPECTRUM_SCOPE_THREADS"
 # largest path state plus letter block one chain may allocate
 MAX_CHAIN_BYTES = 2**30
-# time steps x samples per streamed letter block, (d + 4) x 64 KiB of arrays
-# per chain; 2^14 put the peak RSS of a 2-chain d=3 run 1 MB higher
+# time steps x samples per streamed letter block
 _BLOCK_CELLS = 2**13
-# row width in cells from which one ufunc call per row beats numpy's
-# column-wise accumulate (crossover near 400 cells on a 2-vCPU VM, numpy 2.4)
-_ROW_WISE_WIDTH = 512
 
 
 @dataclass(frozen=True)
@@ -142,16 +138,6 @@ def _chain_rng(seed: int, chain: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(sequence))
 
 
-def _accumulate(ufunc: np.ufunc, a: np.ndarray) -> np.ndarray:
-    """``ufunc.accumulate`` down axis 0, in place; wide rows go row by row,
-    because numpy accumulates column by column at ~5x the cost per cell."""
-    if a[0].size < _ROW_WISE_WIDTH:
-        return ufunc.accumulate(a, axis=0, out=a)
-    for t in range(1, len(a)):
-        ufunc(a[t - 1], a[t], out=a[t])
-    return a
-
-
 def _word_shapes(blocks: Iterable[np.ndarray], d: int, count: int) -> np.ndarray:
     """Row-insertion shapes ``(count, d)`` of words given as ``(T, count)``
     blocks of 0-based letters, row ``t`` holding every word's next letter.
@@ -167,12 +153,17 @@ def _word_shapes(blocks: Iterable[np.ndarray], d: int, count: int) -> np.ndarray
     for letters in blocks:
         paths = (letters[:, None, :] == np.arange(d)[:, None]).astype(np.int64)
         paths[0] += ends
-        ends = _accumulate(np.add, paths)[-1].copy()
+        single = len(letters) == 1  # accumulating one row is the identity
+        if not single:
+            np.add.accumulate(paths, axis=0, out=paths)
+        ends = paths[-1].copy()
         for pair, (i, j) in enumerate(itertools.combinations(range(d), 2)):
             diff = paths[:, i] - paths[:, j]
             lift = diff.copy()
             np.maximum(lift[0], peaks[pair], out=lift[0])
-            peaks[pair] = _accumulate(np.maximum, lift)[-1]
+            if not single:
+                np.maximum.accumulate(lift, axis=0, out=lift)
+            peaks[pair] = lift[-1]
             lift -= diff
             paths[:, i] += lift
             paths[:, j] -= lift
@@ -183,9 +174,11 @@ def _sample_shapes(cfg: SamplerConfig, chain: int, count: int) -> Counter:
     """Shape counts for one chain; vectorized across its samples."""
     d = cfg.d
     steps = max(1, min(cfg.boxes, _BLOCK_CELLS // count))
-    # carried endpoints and pair peaks, then per block cell: d paths, the
-    # draw, the letter and two pair temporaries
-    needed = 8 * count * (d + d * (d - 1) // 2 + (d + 4) * steps)
+    # carried endpoints and pair peaks, then per block cell at the peak, while
+    # the next block's paths are built: d paths of it and d of the last one,
+    # the draw, the letter and two pair temporaries in 8 bytes each, and the
+    # d-letter one-hot mask in 1 byte each
+    needed = count * (8 * (d + d * (d - 1) // 2) + (8 * (2 * d + 4) + d) * steps)
     if needed > MAX_CHAIN_BYTES:
         raise ResourceLimitError(
             f"one chain of {count} samples at d={d} needs {needed} bytes of "

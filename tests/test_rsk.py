@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -117,15 +118,14 @@ class TestPathTransformKernel:
             expected = rsk_shape(word)
             assert tuple(shapes[sample]) == t.shape() == expected + (0,) * (d - len(expected))
 
-    @pytest.mark.parametrize("cells, row_width", [(1, 10**9), (7, 10**9), (7, 1), (2**13, 1)])
-    def test_block_boundaries_do_not_move_counts(self, monkeypatch, cells, row_width):
+    @pytest.mark.parametrize("cells", [1, 7])
+    def test_block_boundaries_do_not_move_counts(self, monkeypatch, cells):
         spectrum = Spectrum((0.4, 0.3, 0.2, 0.1))
         cfg = SamplerConfig(d=4, boxes=40, spectrum=spectrum, seed=3, chains=2)
         # 1 and 3 samples per chain fit several steps in a 7-cell block;
-        # 1500 per chain make rows wide enough for the row-wise path
+        # 1500 per chain take several steps per block only at the default
         default = {samples: sample_frame_counts(cfg, samples) for samples in (2, 6, 3000)}
         monkeypatch.setattr(rsk, "_BLOCK_CELLS", cells)
-        monkeypatch.setattr(rsk, "_ROW_WISE_WIDTH", row_width)
         for samples, expected in default.items():
             assert sample_frame_counts(cfg, samples) == expected
 
@@ -165,6 +165,22 @@ class TestSampling:
         cfg = SamplerConfig(d=3, boxes=5, spectrum=Spectrum((0.5, 0.3, 0.2)), seed=1)
         with pytest.raises(ResourceLimitError, match="bytes"):
             sample_frame_counts(cfg, 10**11)
+
+    @pytest.mark.parametrize("d, boxes, count", [(1, 50, 3000), (3, 3, 20000), (4, 100, 500)])
+    def test_checked_bytes_cover_traced_peak(self, monkeypatch, d, boxes, count):
+        values = tuple(v / sum(range(1, d + 1)) for v in range(d, 0, -1))
+        cfg = SamplerConfig(d=d, boxes=boxes, spectrum=Spectrum(values), seed=5)
+        tracemalloc.start()
+        try:
+            rsk._sample_shapes(cfg, 0, count)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the checked figure must reach the traced peak, less 16 KiB left
+        # for interpreter objects: a cap that far below it rejects the chain
+        monkeypatch.setattr(rsk, "MAX_CHAIN_BYTES", peak - 2**14)
+        with pytest.raises(ResourceLimitError):
+            rsk._sample_shapes(cfg, 0, count)
 
     def test_counts_thread_invariant(self, monkeypatch):
         cfg = SamplerConfig(d=3, boxes=8, spectrum=Spectrum((0.6, 0.3, 0.1)), seed=29, chains=5)
