@@ -9,7 +9,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
 from typing import Iterator, Sequence
 
 
@@ -111,19 +110,21 @@ def _partition_tuples(n: int, max_part: int, slots: int) -> Iterator[tuple[int, 
             yield (part,) + rest
 
 
-@cache
 def frame_count(d: int, boxes: int) -> int:
-    """Number of partitions of ``boxes`` into at most ``d`` parts."""
+    """Number of partitions of ``boxes`` into at most ``d`` parts.
+
+    By conjugation these are the partitions into parts of size at most d,
+    counted with a table over part sizes in O(min(d, N) N) steps.
+    """
     if d < 0:
         raise ValueError("frame_count needs a non-negative row count")
     if boxes < 0:
         return 0
-    if boxes == 0:
-        return 1
-    if d == 0:
-        return 0
-    # parts <= d via the conjugate recurrence p(n, d) = p(n, d-1) + p(n-d, d)
-    return frame_count(d - 1, boxes) + frame_count(d, boxes - d)
+    ways = [1] + [0] * boxes
+    for part in range(1, min(d, boxes) + 1):
+        for total in range(part, boxes + 1):
+            ways[total] += ways[total - part]
+    return ways[boxes]
 
 
 def _vandermonde(shifted: Sequence[int]) -> int:

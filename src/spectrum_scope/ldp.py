@@ -22,6 +22,7 @@ from .measure import (
     HalfSpace,
     Region,
     SchurWeylDistribution,
+    check_enumeration_cap,
     exact_distribution,
     region_log_probability,
 )
@@ -450,12 +451,14 @@ def rate_scan(
         raise ValueError("need at least one box count")
     if any(n < 1 for n in boxes_list):
         raise ValueError("box counts must be positive")
+    for n in boxes_list:
+        check_enumeration_cap(d, n)
+    if table is None:
+        table = SchurTable(spectrum, max(boxes_list))
     try:
         target = inf_rate_over_region(region, spectrum, grid_resolution=grid_resolution)
     except EmptyRegionError:
         target = RegionInfimum(value=math.inf, minimizer=None)
-    if table is None:
-        table = SchurTable(spectrum, max(boxes_list))
     points = []
     for n in boxes_list:
         dist = exact_distribution(d, n, spectrum, table=table)

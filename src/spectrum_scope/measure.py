@@ -27,8 +27,8 @@ from .frames import (
 from .logspace import NEG_INF, log_sum_exp
 from .schur import SchurTable
 
-MAX_DIMENSION = 4
 MAX_BOXES = 400
+MAX_FRAMES = frame_count(4, MAX_BOXES)  # 461,312
 
 
 @dataclass(frozen=True)
@@ -64,6 +64,24 @@ class SchurWeylDistribution:
         return log_sum_exp(self.log_probs)
 
 
+def check_enumeration_cap(d: int, boxes: int) -> None:
+    """Raise ResourceLimitError unless N <= MAX_BOXES and at most MAX_FRAMES frames.
+
+    Cheap, and made before anything is allocated; the Schur table checks
+    its own size when it is built.
+    """
+    if boxes > MAX_BOXES:
+        raise ResourceLimitError(
+            f"exact enumeration is capped at N <= {MAX_BOXES}; got d={d}, N={boxes}"
+        )
+    frames = frame_count(d, boxes)
+    if frames > MAX_FRAMES:
+        raise ResourceLimitError(
+            f"exact enumeration is capped at {MAX_FRAMES} frames; "
+            f"d={d}, N={boxes} has {frames} frames"
+        )
+
+
 def exact_distribution(
     d: int,
     boxes: int,
@@ -82,12 +100,7 @@ def exact_distribution(
         raise ValueError(f"need a non-negative box count, got {boxes}")
     if spectrum.d != d:
         raise ValueError(f"spectrum has {spectrum.d} entries, expected {d}")
-    if d > MAX_DIMENSION or boxes > MAX_BOXES:
-        cap = frame_count(MAX_DIMENSION, MAX_BOXES)
-        raise ResourceLimitError(
-            f"exact enumeration is capped at d <= {MAX_DIMENSION} and N <= {MAX_BOXES} "
-            f"(at most {cap} frames); got d={d}, N={boxes}"
-        )
+    check_enumeration_cap(d, boxes)
     if table is None:
         table = SchurTable(spectrum, boxes)
     elif table.spectrum != spectrum:

@@ -199,9 +199,7 @@ def _sample_shapes(cfg: SamplerConfig, chain: int, count: int) -> Counter:
 
     shapes = _word_shapes(letter_blocks(), d, count)
     unique, multiplicities = np.unique(shapes, axis=0, return_counts=True)
-    return Counter(
-        {tuple(int(v) for v in rows): int(m) for rows, m in zip(unique, multiplicities)}
-    )
+    return Counter(dict(zip(map(tuple, unique.tolist()), multiplicities.tolist())))
 
 
 def _worker_count(chains: int) -> int:

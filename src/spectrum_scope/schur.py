@@ -1,11 +1,11 @@
 """Stable evaluation of Schur polynomials, weights, and character bounds.
 
 The primary evaluator runs the branching recursion over interlacing
-sub-shapes, peeling one eigenvalue at a time. Every summand is positive, so
-the result is accurate to rounding even for degenerate spectra. A
-determinant-based evaluator is kept purely as a cross-check for
-well-separated spectra, and tiny instances can be validated against
-symmetric-group characters via cycle-type sums.
+sub-shapes, peeling one eigenvalue at a time, by one code path for any
+number of rows. Every summand is positive, so the result is accurate to
+rounding even for degenerate spectra. A determinant-based evaluator is kept
+purely as a cross-check for well-separated spectra, and tiny instances can
+be validated against symmetric-group characters via cycle-type sums.
 """
 from __future__ import annotations
 
@@ -30,6 +30,8 @@ from .logspace import NEG_INF, log_sum_exp
 KOSTKA_MAX_BOXES = 12
 KOSTKA_MAX_ROWS = 4
 CYCLE_SUM_MAX_BOXES = 8
+#: Cap on the top cube of a SchurTable, checked before it is allocated.
+MAX_TABLE_BYTES = 2**29
 
 
 @dataclass(frozen=True)
@@ -76,66 +78,51 @@ def weighted_dot(weight: Sequence[int], log_values: Sequence[float]) -> float:
 class SchurTable:
     """Log Schur values for one spectrum, for any shape up to a box budget.
 
-    Levels run over the number of participating eigenvalues. Levels below
-    the top are tabulated densely for every box count up to ``max_boxes``;
-    top-level shapes are evaluated on demand and cached. Build once in a
-    single thread, then share freely for reads.
+    With k positive eigenvalues, level j = 1..k-1 is one float64 cube of
+    side N+1 holding ``ln s_Y(r_1..r_j) - |Y| ln r_(j+1)`` at
+    ``cube[Y_1, ..., Y_j]``, -inf off partitions. In that normalisation the
+    branching rule s_Y(r_1..r_j) = sum over interlacing mu of
+    s_mu(r_1..r_(j-1)) r_j^(|Y|-|mu|) needs no weights: level j is a plain
+    log-sum of level j-1 over the box Y_(a+1) <= mu_a <= Y_a, built by one
+    in-place prefix accumulate per axis, and every summand is positive
+    (Demmel & Koev, Math. Comp. 75 (2006)). Only the top cube is kept, and
+    its 8 (N+1)^(k-1) bytes are checked against ``MAX_TABLE_BYTES`` first; a
+    top-level shape is one slice of it, evaluated on demand and cached.
+    Build once in a single thread, then share freely for reads.
     """
-
-    _DENSE_LIMIT = 150  # four-row cube kept dense up to ~28 MB
 
     def __init__(self, spectrum: Spectrum, max_boxes: int):
         if max_boxes < 0:
             raise ValueError("max_boxes must be non-negative")
         self.spectrum = spectrum
         self.max_boxes = max_boxes
-        positive = [v for v in spectrum.values if v > 0.0]
-        self._k = len(positive)
-        self._log_r = [math.log(v) for v in positive]
+        self._log_r = [math.log(v) for v in spectrum.values if v > 0.0]
+        self._k = len(self._log_r)
+        if 8 * (max_boxes + 1) ** (self._k - 1) > MAX_TABLE_BYTES:
+            raise ResourceLimitError(
+                f"a Schur table for {self._k} positive eigenvalues and N={max_boxes} needs "
+                f"8*{max_boxes + 1}^{self._k - 1} bytes, over the cap of {MAX_TABLE_BYTES} bytes"
+            )
         self._cache: dict[tuple[int, ...], float] = {}
-        self._u1: np.ndarray | None = None
-        self._v2: np.ndarray | None = None
-        self._v3: np.ndarray | dict[int, np.ndarray] | None = None
-        self._build()
+        self._cube = self._build()
 
-    def _build(self) -> None:
-        m_max, k, lr = self.max_boxes, self._k, self._log_r
-        if k >= 2:
-            sizes = np.arange(m_max + 1, dtype=float)
-            self._u1 = sizes * (lr[0] - lr[1])
-        if k >= 3:
-            level2 = np.full((m_max + 1, m_max + 1), NEG_INF)
-            for a in range(m_max + 1):
-                # suffix[b] = log-sum over one-row sub-shapes c in [b, a]
-                suffix = np.logaddexp.accumulate(self._u1[a::-1])[::-1]
-                b_max = min(a, m_max - a)
-                b = np.arange(b_max + 1, dtype=float)
-                level2[a, : b_max + 1] = (a + b) * lr[1] + suffix[: b_max + 1]
-            sizes = np.arange(m_max + 1, dtype=float)
-            self._v2 = level2 - (sizes[:, None] + sizes[None, :]) * lr[2]
-        if k >= 4:
-            # sheets indexed [m2, m3] per m1; one dense cube when memory allows,
-            # so a top-level query reduces to a single 3-d slice
-            dense = m_max <= self._DENSE_LIMIT
-            if dense:
-                self._v3 = np.full((m_max + 1,) * 3, NEG_INF)
-            else:
-                self._v3 = {}
-            for m1 in range(m_max + 1):
-                m2_max = min(m1, m_max - m1)
-                sheet = np.full((m2_max + 1, m2_max + 1), NEG_INF)
-                for m2 in range(m2_max + 1):
-                    block = self._v2[m2 : m1 + 1, : m2 + 1]
-                    top = block.max(axis=0)
-                    col = top + np.log(np.exp(block - top[None, :]).sum(axis=0))
-                    suffix = np.logaddexp.accumulate(col[::-1])[::-1]
-                    c_max = min(m2, m_max - m1 - m2)
-                    c = np.arange(c_max + 1, dtype=float)
-                    sheet[m2, : c_max + 1] = (m1 + m2 + c) * (lr[2] - lr[3]) + suffix[: c_max + 1]
-                if dense:
-                    self._v3[m1, : m2_max + 1, : m2_max + 1] = sheet
-                else:
-                    self._v3[m1] = sheet
+    def _build(self) -> np.ndarray:
+        side, lr = self.max_boxes + 1, self._log_r
+        sizes = np.arange(side, dtype=float)
+        # below[p, q]: index q on axis a+1 exceeds index p on axis a
+        below = sizes[:, None] < sizes[None, :]
+        cube = np.zeros(())
+        for j in range(1, self._k):
+            previous, cube = cube, np.empty((side,) * j)
+            cube[...] = previous[..., None]
+            for a in range(j - 2, -1, -1):
+                # sum mu_(a+1) over [Y_(a+2), Y_(a+1)]: drop the terms below the
+                # lower bound, then a prefix sum turns axis a from mu into Y
+                np.copyto(cube, NEG_INF, where=below.reshape(below.shape + (1,) * (j - a - 2)))
+                np.logaddexp.accumulate(cube, axis=a, out=cube)
+            for a in range(j):
+                cube += (sizes * (lr[j - 1] - lr[j])).reshape((side,) + (1,) * (j - 1 - a))
+        return cube
 
     def log_value(self, rows: Sequence[int]) -> float:
         """ln s_Y(r) for the shape given by ``rows``; -inf for an exact zero."""
@@ -154,32 +141,15 @@ class SchurTable:
         if any(v > 0 for v in shape[k:]):
             # more nonzero rows than nonzero eigenvalues: the value is exactly 0
             return NEG_INF
-        if k == 0 or boxes == 0:
+        if boxes == 0:
             return 0.0
         reduced = (shape + (0,) * k)[:k]
         cached = self._cache.get(reduced)
-        if cached is not None:
-            return cached
-        value = self._top_value(reduced, boxes)
-        self._cache[reduced] = value
-        return value
-
-    def _top_value(self, shape: tuple[int, ...], boxes: int) -> float:
-        lr = self._log_r
-        k = self._k
-        if k == 1:
-            return boxes * lr[0]
-        if k == 2:
-            a, b = shape
-            return boxes * lr[1] + log_sum_exp(self._u1[b : a + 1])
-        if k == 3:
-            a, b, c = shape
-            return boxes * lr[2] + log_sum_exp(self._v2[b : a + 1, c : b + 1])
-        a, b, c, e = shape
-        if isinstance(self._v3, np.ndarray):
-            return boxes * lr[3] + log_sum_exp(self._v3[b : a + 1, c : b + 1, e : c + 1])
-        blocks = [self._v3[m1][c : b + 1, e : c + 1] for m1 in range(b, a + 1)]
-        return boxes * lr[3] + log_sum_exp(np.stack(blocks))
+        if cached is None:
+            box = tuple(slice(lower, upper + 1) for upper, lower in zip(reduced, reduced[1:]))
+            cached = boxes * self._log_r[-1] + log_sum_exp(self._cube[box])
+            self._cache[reduced] = cached
+        return cached
 
 
 def schur_log(frame: YoungFrame, spectrum: Spectrum, *, table: SchurTable | None = None) -> float:

@@ -112,6 +112,42 @@ def schur_by_monomials(shape, values) -> float:
     return total
 
 
+def schur_log_jacobi_trudi(shape, numerators, denominator: int) -> float:
+    """ln s_Y(a / denominator) for integer a, exact until the final logarithms.
+
+    The Jacobi-Trudi determinant det[h_(Y_i - i + j)] of complete homogeneous
+    polynomials of the integers a (valid for repeated and zero entries too),
+    by fraction-free (Bareiss) elimination in exact integers; s_Y of the
+    rational spectrum is that integer over denominator^|Y|.
+    """
+    rows = list(shape) + [0] * (len(numerators) - len(shape))
+    d = len(rows)
+    top = rows[0] + d
+    h = [1] + [0] * top
+    for a in numerators:  # h_k(a_1..a_m) = h_k(a_1..a_(m-1)) + a_m h_(k-1)(a_1..a_m)
+        for k in range(1, top + 1):
+            h[k] += a * h[k - 1]
+    m = [[h[rows[i] - i + j] if rows[i] - i + j >= 0 else 0 for j in range(d)] for i in range(d)]
+    sign, previous = 1, 1
+    for k in range(d - 1):
+        if m[k][k] == 0:
+            swap = next((i for i in range(k + 1, d) if m[i][k]), None)
+            if swap is None:
+                return -math.inf
+            m[k], m[swap] = m[swap], m[k]
+            sign = -sign
+        for i in range(k + 1, d):
+            for j in range(k + 1, d):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // previous
+        previous = m[k][k]
+    det = sign * m[d - 1][d - 1]
+    if det < 0:
+        raise ArithmeticError(f"Schur value of {tuple(shape)} came out negative")
+    if det == 0:
+        return -math.inf
+    return math.log(det) - sum(rows) * math.log(denominator)
+
+
 def rsk_shape(word) -> tuple[int, ...]:
     """Shape after row-inserting a word (1-based letters), on explicit rows."""
     rows: list[list[int]] = []

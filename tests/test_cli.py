@@ -2,12 +2,13 @@ import csv
 import hashlib
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 from spectrum_scope import ConvergenceError, Spectrum, YoungFrame, exact_distribution
-from spectrum_scope import cli
+from spectrum_scope import cli, ldp
 from spectrum_scope.cli import main, replay_manifest
 
 
@@ -73,10 +74,25 @@ class TestDist:
         assert a.read_bytes() == b.read_bytes()
 
     def test_resource_cap_exit_code(self, tmp_path):
-        code = run(["dist", "--d", 5, "--n", 2, "--spectrum", "0.2,0.2,0.2,0.2,0.2", "--out", tmp_path / "x.csv"])
+        code = run(["dist", "--d", 1000, "--n", 3, "--spectrum", ",".join(["0.001"] * 1000), "--out", tmp_path / "x.csv"])
         assert code == 3
         code = run(["dist", "--d", 2, "--n", 401, "--spectrum", "0.5,0.5", "--out", tmp_path / "x.csv"])
         assert code == 3
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("d, boxes", [(4, 401), (5, 90), (6, 36)])
+    def test_one_past_each_cap_allocates_nothing(self, tmp_path, d, boxes):
+        # d4 N400, d5 N89 and d6 N35 are the largest accepted sizes
+        spectrum = ",".join(["0.5"] + [str(0.5 / (d - 1))] * (d - 1))
+        tracemalloc.start()
+        try:
+            code = run(["dist", "--d", d, "--n", boxes, "--spectrum", spectrum, "--out", tmp_path / "x.csv"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 3
+        assert list(tmp_path.iterdir()) == []
+        assert peak < 2**20
 
 
 @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
@@ -149,6 +165,17 @@ class TestRateScan:
     def test_epsilon_larger_cap_exit(self, tmp_path):
         code = run(["rate-scan", "--d", 2, "--spectrum", "0.7,0.3", "--epsilon", "0.1", "--n-list", "500", "--out", tmp_path / "x.csv"])
         assert code == 3
+
+    def test_cap_checked_before_target_and_table(self, tmp_path, monkeypatch):
+        # an N past the cap anywhere in the list stops the scan before any work
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("ran before the cap check")
+
+        monkeypatch.setattr(ldp, "inf_rate_over_region", must_not_run)
+        monkeypatch.setattr(ldp, "SchurTable", must_not_run)
+        args = ["rate-scan", "--d", 4, "--spectrum", "0.4,0.3,0.2,0.1", "--epsilon", "0.1"]
+        assert run(args + ["--n-list", "20,700", "--out", tmp_path / "x.csv"]) == 3
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestSample:

@@ -59,6 +59,16 @@ class TestEnumeration:
                 assert len(list(enumerate_frames(d, n))) == expected
                 assert frame_count(d, n) == expected
 
+    def test_count_table_matches_oracle_past_the_row_count(self):
+        for d in range(0, 12):
+            for n in range(0, 41):
+                assert frame_count(d, n) == count_partitions(n, d)
+
+    def test_count_far_past_the_recursion_limit(self):
+        assert frame_count(1000, 3) == 3
+        # partitions into at most three parts: round((N + 3)^2 / 12)
+        assert frame_count(3, 1000) == round(1003**2 / 12) == 83834
+
 
 class TestFrameValidation:
     def test_rejects_increasing_rows(self):

@@ -67,9 +67,9 @@ class TestExactDistribution:
 
     def test_matches_cycle_type_oracle(self):
         rng = np.random.default_rng(47)
-        for d in (2, 3):
+        for d, n_max in ((2, 6), (3, 6), (5, 8)):
             spectrum = random_spectrum(rng, d)
-            for n in range(1, 7):
+            for n in range(1, n_max + 1):
                 dist = exact_distribution(d, n, spectrum)
                 for frame, lp in dist.items():
                     expected = brute_force_frame_probability(frame, spectrum)
@@ -94,8 +94,19 @@ class TestExactDistribution:
             assert lp == table.log_value(frame.rows) + math.log(hook_length_count(frame.rows))
 
     def test_dimension_cap(self):
+        # no cap on d itself: the frame count and the table size are capped
+        dist = exact_distribution(5, 3, Spectrum((0.2,) * 5))
+        assert len(dist.frames) == 3
+        assert abs(dist.total_log_prob()) <= 1e-12
         with pytest.raises(ResourceLimitError, match="frames"):
-            exact_distribution(5, 3, Spectrum((0.2,) * 5))
+            exact_distribution(5, 400, Spectrum((0.2,) * 5))
+        with pytest.raises(ResourceLimitError, match="bytes"):
+            exact_distribution(1000, 3, Spectrum((0.001,) * 1000))
+
+    @pytest.mark.parametrize("d, boxes", [(5, 60), (6, 25)])
+    def test_normalized_beyond_four_rows(self, d, boxes):
+        dist = exact_distribution(d, boxes, random_spectrum(np.random.default_rng(d), d))
+        assert abs(dist.total_log_prob()) <= 1e-10
 
     def test_box_cap(self):
         with pytest.raises(ResourceLimitError, match="N <= 400"):

@@ -1,12 +1,14 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import random_spectrum, spectra
-from oracles import kostka_table, schur_by_monomials
+from oracles import kostka_table, schur_by_monomials, schur_log_jacobi_trudi
 
+from spectrum_scope import schur
 from spectrum_scope import (
     DegenerateSpectrumError,
     DiagonalState,
@@ -53,6 +55,66 @@ class TestSchurLog:
                         expected = schur_by_monomials(frame.rows, spectrum.values)
                         got = math.exp(table.log_value(frame.rows))
                         assert got == pytest.approx(expected, abs=1e-13)
+
+    @pytest.mark.parametrize("d", [5, 6])
+    def test_matches_monomial_sum_oracle_beyond_four_rows(self, d):
+        rng = np.random.default_rng(41 + d)
+        repeated = Spectrum(tuple(sorted([0.3, 0.3] + [0.4 / (d - 2)] * (d - 2), reverse=True)))
+        zeros = Spectrum((0.4, 0.3, 0.3) + (0.0,) * (d - 3))
+        for spectrum in (random_spectrum(rng, d), repeated, zeros):
+            table = SchurTable(spectrum, 6)
+            for n in range(0, 7):
+                for frame in enumerate_frames(d, n):
+                    expected = schur_by_monomials(frame.rows, spectrum.values)
+                    got = math.exp(table.log_value(frame.rows))
+                    assert got == pytest.approx(expected, abs=1e-13)
+
+    @pytest.mark.parametrize(
+        "numerators, boxes",
+        [
+            ((31, 23, 19, 17, 10), 40),
+            ((25, 25, 20, 20, 10), 40),
+            ((40, 30, 30, 0, 0), 40),
+            ((21, 19, 17, 17, 15, 11), 20),
+            ((50, 20, 10, 10, 10, 0), 20),
+        ],
+    )
+    def test_matches_exact_jacobi_trudi(self, numerators, boxes):
+        # rational spectra a/100: the reference is exact up to two logarithms
+        spectrum = Spectrum(tuple(a / 100 for a in numerators))
+        table = SchurTable(spectrum, boxes)
+        for frame in enumerate_frames(len(numerators), boxes):
+            expected = schur_log_jacobi_trudi(frame.rows, numerators, 100)
+            got = table.log_value(frame.rows)
+            if expected == NEG_INF:
+                assert got == NEG_INF
+            else:
+                assert abs(got - expected) <= 1e-9
+
+    def test_table_cap_checked_before_allocating(self, monkeypatch):
+        spectrum = Spectrum((0.4, 0.3, 0.2, 0.1))
+        cube_bytes = 8 * 61**3
+        monkeypatch.setattr(schur, "MAX_TABLE_BYTES", cube_bytes - 8)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimitError, match="bytes"):
+                SchurTable(spectrum, 60)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < cube_bytes // 16
+        monkeypatch.setattr(schur, "MAX_TABLE_BYTES", cube_bytes)
+        SchurTable(spectrum, 60)
+
+    @pytest.mark.parametrize("d, reach", [(3, 8191), (4, 405), (5, 89), (6, 35), (7, 19)])
+    def test_table_cap_reach(self, monkeypatch, d, reach):
+        # the largest N whose top cube fits, checked without building the cubes;
+        # at d <= 4 the box cap of exact_distribution (N <= 400) binds first
+        monkeypatch.setattr(SchurTable, "_build", lambda self: None)
+        spectrum = Spectrum((1 / d,) * d)
+        SchurTable(spectrum, reach)
+        with pytest.raises(ResourceLimitError, match="bytes"):
+            SchurTable(spectrum, reach + 1)
 
     def test_zero_eigenvalues_reduce_dimension(self):
         padded = Spectrum((0.7, 0.3, 0.0))
