@@ -129,8 +129,6 @@ def _parse_spectrum(text: str, d: int, allow_unsorted: bool) -> Spectrum:
         raise _UsageError(f"could not parse spectrum {text!r}: {exc}") from exc
     if len(values) != d:
         raise _UsageError(f"spectrum has {len(values)} entries, expected d={d}")
-    if not all(0 <= v < math.inf for v in values):
-        raise _UsageError(f"eigenvalues must be finite and non-negative: {values}")
     total = math.fsum(values)
     if abs(total - 1.0) > 1e-9:
         raise _UsageError(f"eigenvalues must sum to 1 within 1e-9, got {total!r}")

@@ -28,6 +28,8 @@ from .measure import (
 )
 from .schur import SchurTable
 
+_GRID_RESOLUTION = 200
+
 
 def _values(spectrum) -> tuple[float, ...]:
     if isinstance(spectrum, Spectrum):
@@ -108,14 +110,8 @@ def legendre_of_cgf(
     def objective(e: np.ndarray) -> float:
         return float(e @ s_red) - log_sum_exp(log_r + e)
 
-    def weights(e: np.ndarray) -> np.ndarray:
-        logits = log_r + e
-        shift = logits.max()
-        w = np.exp(logits - shift)
-        return w / w.sum()
-
     value = objective(eta)
-    grad = s_red - weights(eta)
+    grad = s_red - cgf_gradient(eta, r_red)
     grad_norm = float(np.abs(grad).max())
     iterations = 0
     while grad_norm > tolerance:
@@ -125,7 +121,7 @@ def legendre_of_cgf(
                 f"{max_iterations} iterations (last norm {grad_norm:.3e})",
                 last_iterate=tuple(eta),
             )
-        w = weights(eta)
+        w = cgf_gradient(eta, r_red)
         hessian = np.diag(w) - np.outer(w, w)
         step = np.linalg.lstsq(hessian, grad, rcond=1e-12)[0]
         step -= step.mean()
@@ -144,7 +140,7 @@ def legendre_of_cgf(
             new_value = objective(candidate)
         eta = candidate - candidate.mean()
         value = objective(eta)
-        grad = s_red - weights(eta)
+        grad = s_red - cgf_gradient(eta, r_red)
         grad_norm = float(np.abs(grad).max())
         iterations += 1
     full_eta = [NEG_INF] * len(sv)
@@ -290,7 +286,7 @@ def _minimize_rate_convex(
     return x
 
 
-def _certify_point(raw: np.ndarray, region: Region, reference: Sequence[float]):
+def _certify_point(raw: np.ndarray, region: Region):
     """Turn an approximate minimizer into a verified region member, if possible."""
     d = len(raw)
     candidates = [raw]
@@ -317,12 +313,7 @@ def _certify_point(raw: np.ndarray, region: Region, reference: Sequence[float]):
     return None
 
 
-def inf_rate_over_region(
-    region: Region,
-    reference: Spectrum,
-    *,
-    grid_resolution: int = 200,
-) -> RegionInfimum:
+def inf_rate_over_region(region: Region, reference: Spectrum) -> RegionInfimum:
     """Minimize the rate over a region by grid seeding plus convex refinement.
 
     The rate is convex but the region need not be; ball complements and
@@ -349,8 +340,8 @@ def inf_rate_over_region(
 
     seeds: list[tuple[float, tuple[float, ...]]] = []
     # lattice points k/resolution of the closed ordered simplex
-    for frame in enumerate_frames(d, grid_resolution):
-        point = tuple(t / grid_resolution for t in frame.rows)
+    for frame in enumerate_frames(d, _GRID_RESOLUTION):
+        point = tuple(t / _GRID_RESOLUTION for t in frame.rows)
         if region.contains_point(point):
             seeds.append((rate(point, reference), point))
     seeds.sort(key=lambda item: item[0])
@@ -378,7 +369,7 @@ def inf_rate_over_region(
                 x0 = rv.copy()
             solution = _minimize_rate_convex(reference.values, d, ineqs, x0)
             if solution is not None:
-                certified = _certify_point(solution, region, reference.values)
+                certified = _certify_point(solution, region)
                 if certified is not None:
                     candidates.append(certified)
     else:
@@ -388,7 +379,7 @@ def inf_rate_over_region(
             )
             if solution is None:
                 continue
-            certified = _certify_point(solution, region, reference.values)
+            certified = _certify_point(solution, region)
             if certified is not None:
                 candidates.append(certified)
             else:
@@ -404,7 +395,7 @@ def inf_rate_over_region(
                     else:
                         lo = mid
                 blend = (1 - hi) * solution + hi * seed_arr
-                certified = _certify_point(blend, region, reference.values)
+                certified = _certify_point(blend, region)
                 if certified is not None:
                     candidates.append(certified)
 
@@ -444,7 +435,6 @@ def rate_scan(
     boxes_list: Sequence[int],
     *,
     table: SchurTable | None = None,
-    grid_resolution: int = 200,
 ) -> RateProfile:
     """Tabulate a_N = -(1/N) ln K_N(region) against inf of the rate over the region."""
     if not boxes_list:
@@ -456,7 +446,7 @@ def rate_scan(
     if table is None:
         table = SchurTable(spectrum, max(boxes_list))
     try:
-        target = inf_rate_over_region(region, spectrum, grid_resolution=grid_resolution)
+        target = inf_rate_over_region(region, spectrum)
     except EmptyRegionError:
         target = RegionInfimum(value=math.inf, minimizer=None)
     points = []

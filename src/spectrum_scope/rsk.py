@@ -9,14 +9,16 @@ path after one Pitman transform per letter pair (O'Connell, Trans. AMS 355
 work per letter, vectorized across samples and streamed in time blocks of
 bounded size. ``insert_letter`` keeps explicit insertion into a d x d
 count-matrix tableau as the reference.
+
+Chains run in sequence, each from its own counter-based Philox stream, so
+the 1 GiB chain cap ``MAX_CHAIN_BYTES`` is the sampler's peak. More chains
+split the stream and bound memory; they do not add parallelism.
 """
 from __future__ import annotations
 
 import itertools
 import math
-import os
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping
 
@@ -26,7 +28,6 @@ from .errors import ResourceLimitError
 from .frames import YoungFrame, Spectrum
 from .measure import SchurWeylDistribution
 
-THREAD_ENV_VAR = "SPECTRUM_SCOPE_THREADS"
 # largest path state plus letter block one chain may allocate
 MAX_CHAIN_BYTES = 2**30
 # time steps x samples per streamed letter block
@@ -202,23 +203,9 @@ def _sample_shapes(cfg: SamplerConfig, chain: int, count: int) -> Counter:
     return Counter(dict(zip(map(tuple, unique.tolist()), multiplicities.tolist())))
 
 
-def _worker_count(chains: int) -> int:
-    env = os.environ.get(THREAD_ENV_VAR)
-    if env is not None:
-        try:
-            limit = int(env)
-        except ValueError as exc:
-            raise ValueError(f"{THREAD_ENV_VAR} must be an integer, got {env!r}") from exc
-        if limit < 1:
-            raise ValueError(f"{THREAD_ENV_VAR} must be positive, got {limit}")
-    else:
-        limit = os.cpu_count() or 1
-    return max(1, min(chains, limit))
-
-
 def sample_frame(cfg: SamplerConfig) -> YoungFrame:
     """Draw one outcome frame; chain 0 of the configured stream."""
-    counts = _sample_shapes(SamplerConfig(cfg.d, cfg.boxes, cfg.spectrum, cfg.seed, 1), 0, 1)
+    counts = _sample_shapes(cfg, 0, 1)
     rows = next(iter(counts))
     return YoungFrame(rows)
 
@@ -226,23 +213,16 @@ def sample_frame(cfg: SamplerConfig) -> YoungFrame:
 def sample_frame_counts(cfg: SamplerConfig, samples: int) -> Counter:
     """Outcome counts over many samples, split across the configured chains.
 
-    Chains are independent streams merged by commutative addition, so the
-    result does not depend on worker scheduling or thread count.
+    Chains are independent streams run one after another and merged by
+    commutative addition, so the result depends only on the seed and the
+    chain sizes.
     """
     if samples < 1:
         raise ValueError("need at least one sample")
     base, extra = divmod(samples, cfg.chains)
-    sizes = [base + (1 if i < extra else 0) for i in range(cfg.chains)]
-    jobs = [(i, size) for i, size in enumerate(sizes) if size > 0]
     merged: Counter = Counter()
-    workers = _worker_count(len(jobs))
-    if workers == 1:
-        for chain, size in jobs:
-            merged.update(_sample_shapes(cfg, chain, size))
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for part in pool.map(lambda job: _sample_shapes(cfg, *job), jobs):
-                merged.update(part)
+    for chain in range(min(samples, cfg.chains)):
+        merged.update(_sample_shapes(cfg, chain, base + (chain < extra)))
     return merged
 
 

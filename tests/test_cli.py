@@ -60,8 +60,11 @@ class TestDist:
             assert float(row["prob"]) == math.exp(lp)
 
     def test_rejects_bad_sum(self, tmp_path):
-        code = run(["dist", "--d", 2, "--n", 2, "--spectrum", "0.7,0.4", "--out", tmp_path / "x.csv"])
-        assert code == 2
+        # the second sums to 1 but holds a negative eigenvalue
+        for spectrum in ("0.7,0.4", "1.5,-0.5"):
+            code = run(["dist", "--d", 2, "--n", 2, "--spectrum", spectrum, "--out", tmp_path / "x.csv"])
+            assert code == 2
+            assert list(tmp_path.iterdir()) == []
 
     def test_rejects_unsorted_without_flag(self, tmp_path):
         code = run(["dist", "--d", 2, "--n", 2, "--spectrum", "0.3,0.7", "--out", tmp_path / "x.csv"])

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from spectrum_scope import (
     sample_frame_counts,
 )
 from spectrum_scope import rsk
-from spectrum_scope.rsk import THREAD_ENV_VAR, _word_shapes
+from spectrum_scope.rsk import _word_shapes
 
 
 class TestCompactTableau:
@@ -182,19 +183,33 @@ class TestSampling:
         with pytest.raises(ResourceLimitError):
             rsk._sample_shapes(cfg, 0, count)
 
-    def test_counts_thread_invariant(self, monkeypatch):
+    def test_counts_thread_invariant(self):
+        # each chain's counts depend only on (seed, chain, size), so the
+        # merged law does not depend on the order the chains run in
         cfg = SamplerConfig(d=3, boxes=8, spectrum=Spectrum((0.6, 0.3, 0.1)), seed=29, chains=5)
-        monkeypatch.setenv(THREAD_ENV_VAR, "1")
-        single = sample_frame_counts(cfg, 20_000)
-        monkeypatch.setenv(THREAD_ENV_VAR, "4")
-        threaded = sample_frame_counts(cfg, 20_000)
-        assert single == threaded
+        samples = 20_003
+        base, extra = divmod(samples, cfg.chains)
+        reversed_order = Counter()
+        for chain in reversed(range(cfg.chains)):
+            reversed_order.update(rsk._sample_shapes(cfg, chain, base + (chain < extra)))
+        assert sample_frame_counts(cfg, samples) == reversed_order
 
-    def test_invalid_thread_env_rejected(self, monkeypatch):
-        cfg = SamplerConfig(d=2, boxes=2, spectrum=Spectrum((0.5, 0.5)), seed=1, chains=2)
-        monkeypatch.setenv(THREAD_ENV_VAR, "zero")
-        with pytest.raises(ValueError):
-            sample_frame_counts(cfg, 10)
+    def test_chains_share_one_peak(self):
+        # chains run one at a time: four of them cost no more memory than one
+        spectrum = Spectrum((0.5, 0.3, 0.2))
+        per_chain = 20_000
+        single = SamplerConfig(d=3, boxes=10, spectrum=spectrum, seed=3)
+        sample_frame_counts(single, per_chain)  # warm-up: first-call allocations
+        peaks = []
+        for cfg in (single, SamplerConfig(d=3, boxes=10, spectrum=spectrum, seed=3, chains=4)):
+            tracemalloc.start()
+            try:
+                sample_frame_counts(cfg, per_chain * cfg.chains)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        one_chain, four_chains = peaks
+        assert four_chains <= one_chain + 2**14
 
     def test_total_count_preserved(self):
         cfg = SamplerConfig(d=2, boxes=6, spectrum=Spectrum((0.8, 0.2)), seed=3, chains=3)
