@@ -59,13 +59,9 @@ def _render_json(obj, indent: int = 0) -> str:
         return "[\n" + ",\n".join(parts) + "\n" + pad + "]"
     if obj is None:
         return "null"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if isinstance(obj, int):
-        return str(obj)
-    if isinstance(obj, float):
-        if math.isinf(obj) or math.isnan(obj):
-            return json.dumps(_format_number(obj))
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return json.dumps(_format_number(obj))
+    if isinstance(obj, (int, float)):
         return _format_number(obj)
     return json.dumps(str(obj))
 
@@ -129,7 +125,10 @@ def _parse_spectrum(text: str, d: int, allow_unsorted: bool) -> Spectrum:
         raise _UsageError(f"could not parse spectrum {text!r}: {exc}") from exc
     if len(values) != d:
         raise _UsageError(f"spectrum has {len(values)} entries, expected d={d}")
-    total = math.fsum(values)
+    try:
+        total = math.fsum(values)
+    except OverflowError as exc:
+        raise _UsageError(f"eigenvalues {text!r} overflow their sum") from exc
     if abs(total - 1.0) > 1e-9:
         raise _UsageError(f"eigenvalues must sum to 1 within 1e-9, got {total!r}")
     values = [v / total for v in values]
@@ -168,11 +167,11 @@ def _cmd_dist(args: argparse.Namespace, argv: list[str]) -> int:
         + [f"est{j + 1}" for j in range(args.d)]
         + ["prob", "log_prob"]
     )
-    rows = []
     n = dist.boxes
-    for frame, lp in dist.items():
-        estimate = [v / n for v in frame.rows] if n else [0.0] * args.d
-        rows.append(list(frame.rows) + estimate + [math.exp(lp), lp])
+    rows = [
+        frame_rows + ([v / n for v in frame_rows] if n else [0.0] * args.d) + [math.exp(lp), lp]
+        for frame_rows, lp in zip(dist.rows.tolist(), dist.log_probs.tolist())
+    ]
     text = _csv_text(header, rows) if args.format == "csv" else _json_records_text(header, rows)
     data = _write_text(args.out, text)
     _write_manifest("dist", args, argv, data)
@@ -189,7 +188,8 @@ def _cmd_rate_scan(args: argparse.Namespace, argv: list[str]) -> int:
     spectrum = _parse_spectrum(args.spectrum, args.d, args.allow_unsorted)
     try:
         epsilon = Fraction(args.epsilon)
-    except (ValueError, ZeroDivisionError) as exc:
+        float(epsilon)  # the rate infimum takes the radius as a float
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:
         raise _UsageError(f"could not parse --epsilon {args.epsilon!r}: {exc}") from exc
     if epsilon < 0:
         raise _UsageError(f"--epsilon must be non-negative, got {args.epsilon}")
@@ -255,23 +255,16 @@ def _cmd_legendre(args: argparse.Namespace, argv: list[str]) -> int:
     )
     row = [rate_value, result.value, result.value - rate_value] + list(result.eta)
     text = _csv_text(header, [row]) if args.format == "csv" else _json_records_text(header, [row])
-    if args.out is None:
-        sys.stdout.write(text)
-    else:
-        data = _write_text(args.out, text)
-        _write_manifest("legendre", args, argv, data)
+    data = _write_text(args.out, text)
+    _write_manifest("legendre", args, argv, data)
     return EXIT_OK
 
 
 def _cmd_verify(args: argparse.Namespace, argv: list[str]) -> int:
     results = run_checks(args.level)
     report = report_dict(args.level, results)
-    text = _render_json(report) + "\n"
-    if args.out is None:
-        sys.stdout.write(text)
-    else:
-        data = _write_text(args.out, text)
-        _write_manifest("verify", args, argv, data)
+    data = _write_text(args.out, _render_json(report) + "\n")
+    _write_manifest("verify", args, argv, data)
     if not report["passed"]:
         failed = ", ".join(r.name for r in results if not r.passed)
         print(f"verify: FAILED invariants: {failed}", file=sys.stderr)
@@ -343,10 +336,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args, argv)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (EmptyRegionError, ValueError) as exc:
+    except (_UsageError, EmptyRegionError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ResourceLimitError as exc:

@@ -26,7 +26,7 @@ from .measure import (
     exact_distribution,
     region_log_probability,
 )
-from .schur import SchurTable
+from .schur import SchurTable, weighted_dot
 
 _GRID_RESOLUTION = 200
 
@@ -152,12 +152,7 @@ def legendre_of_cgf(
 
 
 def _tilted_log_sum(dist: SchurWeylDistribution, eta: Sequence[float]) -> float:
-    e = tuple(float(x) for x in eta)
-    terms = [
-        lp + math.fsum(x * y for x, y in zip(e, frame.rows))
-        for frame, lp in dist.items()
-    ]
-    return log_sum_exp(terms)
+    return log_sum_exp(dist.log_probs + (dist.rows * np.asarray(eta, dtype=float)).sum(axis=1))
 
 
 def empirical_cgf(
@@ -204,23 +199,10 @@ def j_equivalence_gap(
     if dist is None:
         dist = exact_distribution(d, boxes, spectrum, table=table)
     log_j = _tilted_log_sum(dist, eta)
-    e = tuple(float(x) for x in eta)
-    h = [math.log(v) if v > 0.0 else NEG_INF for v in spectrum]
-    proxy_terms = []
-    for frame, lp in dist.items():
-        tilt = 0.0
-        for y, hj, ej in zip(frame.rows, h, e):
-            if y == 0:
-                continue
-            if hj == NEG_INF:
-                tilt = NEG_INF
-                break
-            tilt += y * (hj + ej)
-        if tilt == NEG_INF:
-            proxy_terms.append(NEG_INF)
-        else:
-            proxy_terms.append(tilt + math.log(dim_symmetric_irrep(frame)))
-    log_j_proxy = log_sum_exp(proxy_terms)
+    tilted_h = [(math.log(v) if v > 0.0 else NEG_INF) + float(x) for v, x in zip(spectrum, eta)]
+    log_j_proxy = log_sum_exp(
+        [weighted_dot(f.rows, tilted_h) + math.log(dim_symmetric_irrep(f)) for f in dist.frames]
+    )
     return (log_j - log_j_proxy) / boxes
 
 

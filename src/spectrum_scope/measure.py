@@ -15,6 +15,8 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Iterator, Sequence
 
+import numpy as np
+
 from .errors import ResourceLimitError
 from .frames import (
     YoungFrame,
@@ -22,7 +24,6 @@ from .frames import (
     dim_symmetric_irrep,
     enumerate_frames,
     frame_count,
-    frame_to_exact_estimate,
 )
 from .logspace import NEG_INF, log_sum_exp
 from .schur import SchurTable
@@ -31,34 +32,54 @@ MAX_BOXES = 400
 MAX_FRAMES = frame_count(4, MAX_BOXES)  # 461,312
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SchurWeylDistribution:
-    """Exact map frame -> log probability for fixed (d, N, spectrum)."""
+    """Exact law frame -> log probability for fixed (d, N, spectrum), as two columns.
+
+    ``rows`` is int64 (F, d), one frame per row in canonical (lexicographically
+    decreasing) order; ``log_probs`` is float64 (F,), an ndarray, not a tuple.
+    Both are copied on construction and read-only. ``frames``, ``items()``,
+    ``log_prob`` and ``prob`` build frame objects on demand and keep none.
+    """
 
     spectrum: Spectrum
-    frames: tuple[YoungFrame, ...]
-    log_probs: tuple[float, ...]
+    rows: np.ndarray
+    log_probs: np.ndarray
+
+    def __post_init__(self):
+        rows = np.array(self.rows, dtype=np.int64)
+        log_probs = np.array(self.log_probs, dtype=np.float64)
+        if rows.ndim != 2 or log_probs.shape != rows.shape[:1]:
+            raise ValueError(f"need rows (F, d) and log_probs (F,), got {rows.shape}, {log_probs.shape}")
+        rows.flags.writeable = False
+        log_probs.flags.writeable = False
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "log_probs", log_probs)
 
     @property
     def d(self) -> int:
-        return self.frames[0].d
+        return self.rows.shape[1]
 
     @property
     def boxes(self) -> int:
-        return self.frames[0].boxes
+        return int(self.rows[0].sum())
 
-    @cached_property
-    def _index(self) -> dict[tuple[int, ...], int]:
-        return {frame.rows: i for i, frame in enumerate(self.frames)}
+    @property
+    def frames(self) -> tuple[YoungFrame, ...]:
+        return tuple(YoungFrame(tuple(r)) for r in self.rows.tolist())
 
     def log_prob(self, frame: YoungFrame) -> float:
-        return self.log_probs[self._index[frame.rows]]
+        if len(frame.rows) == self.d:
+            (hits,) = np.nonzero((self.rows == frame.rows).all(axis=1))
+            if hits.size:
+                return float(self.log_probs[hits[0]])
+        raise KeyError(frame)
 
     def prob(self, frame: YoungFrame) -> float:
         return math.exp(self.log_prob(frame))
 
     def items(self) -> Iterator[tuple[YoungFrame, float]]:
-        return zip(self.frames, self.log_probs)
+        return zip(self.frames, self.log_probs.tolist())
 
     def total_log_prob(self) -> float:
         return log_sum_exp(self.log_probs)
@@ -105,12 +126,11 @@ def exact_distribution(
         table = SchurTable(spectrum, boxes)
     elif table.spectrum != spectrum:
         raise ValueError("table was built for a different spectrum")
-    frames = tuple(enumerate_frames(d, boxes))
-    log_probs = tuple(
-        table.log_value(frame.rows) + math.log(dim_symmetric_irrep(frame))
-        for frame in frames
-    )
-    return SchurWeylDistribution(spectrum=spectrum, frames=frames, log_probs=log_probs)
+    rows, log_probs = [], []
+    for frame in enumerate_frames(d, boxes):
+        rows.append(frame.rows)
+        log_probs.append(table.log_value(frame.rows) + math.log(dim_symmetric_irrep(frame)))
+    return SchurWeylDistribution(spectrum=spectrum, rows=rows, log_probs=log_probs)
 
 
 def _require_finite(what: str, values: Sequence[float | Fraction]) -> None:
@@ -130,12 +150,25 @@ class Region(abc.ABC):
     def contains_point(self, values: Sequence[float]) -> bool:
         """Membership for an arbitrary simplex point given as floats."""
 
+    def contains_estimates(self, rows: np.ndarray) -> np.ndarray:
+        """Membership of each frame estimate Y/N, one frame per row of ``rows``;
+        exact where the region data allow."""
+        boxes = _boxes(rows)
+        return np.array(
+            [self.contains_point(point) for point in (rows / boxes[:, None]).tolist()],
+            dtype=bool,
+        )
+
     def contains_estimate(self, frame: YoungFrame) -> bool:
         """Membership for a frame estimate Y/N; exact where the region data allow."""
-        boxes = frame.boxes
-        if boxes == 0:
-            raise ValueError("cannot normalize an empty frame")
-        return self.contains_point([v / boxes for v in frame.rows])
+        return bool(self.contains_estimates(np.array([frame.rows]))[0])
+
+
+def _boxes(rows: np.ndarray) -> np.ndarray:
+    boxes = rows.sum(axis=1)
+    if not boxes.all():
+        raise ValueError("cannot normalize an empty frame")
+    return boxes
 
 
 @dataclass(frozen=True)
@@ -143,7 +176,7 @@ class BallComplement(Region):
     """Points at sup-distance strictly greater than ``radius`` from ``center``.
 
     The complement of the closed ball, so radius zero keeps every point
-    except the center itself. Frame estimates are compared in exact rational
+    except the center itself. Frame estimates are compared in exact integer
     arithmetic, eliminating boundary misclassification; pass the center and
     radius as ``Fraction`` values (e.g. built from decimal text) when the
     region data are meant as exact decimals rather than binary floats.
@@ -157,12 +190,12 @@ class BallComplement(Region):
         _require_finite("ball center and radius", (*self.center, self.radius))
 
     @cached_property
-    def _exact_center(self) -> tuple[Fraction, ...]:
-        return tuple(Fraction(c) for c in self.center)
-
-    @cached_property
-    def _exact_radius(self) -> Fraction:
-        return Fraction(self.radius)
+    def _scaled(self) -> tuple[int, tuple[int, ...], int]:
+        """(q, q * center, q * radius) in integers, q the common denominator."""
+        exact = [Fraction(v) for v in (*self.center, self.radius)]
+        q = math.lcm(*(v.denominator for v in exact))
+        scaled = [v.numerator * (q // v.denominator) for v in exact]
+        return q, tuple(scaled[:-1]), scaled[-1]
 
     @cached_property
     def _float_center(self) -> tuple[float, ...]:
@@ -172,12 +205,13 @@ class BallComplement(Region):
         distance = max(abs(v - c) for v, c in zip(values, self._float_center))
         return distance > float(self.radius)
 
-    def contains_estimate(self, frame: YoungFrame) -> bool:
-        estimate = frame_to_exact_estimate(frame)
-        return any(
-            abs(e - c) > self._exact_radius
-            for e, c in zip(estimate, self._exact_center)
-        )
+    def contains_estimates(self, rows: np.ndarray) -> np.ndarray:
+        # |Y_j/N - c_j| > a  <=>  |Y_j q - (q c_j) N| > (q a) N, in Python ints
+        # because q is up to 2^1074 for binary-float data
+        q, center, radius = self._scaled
+        boxes = _boxes(rows).astype(object)[:, None]
+        gaps = np.abs(rows.astype(object) * q - np.array(center, dtype=object) * boxes)
+        return (gaps > radius * boxes).any(axis=1)
 
 
 @dataclass(frozen=True)
@@ -209,8 +243,8 @@ class FrameSet(Region):
     def contains_point(self, values: Sequence[float]) -> bool:
         return False
 
-    def contains_estimate(self, frame: YoungFrame) -> bool:
-        return frame.rows in self.rows_set
+    def contains_estimates(self, rows: np.ndarray) -> np.ndarray:
+        return np.array([tuple(r) in self.rows_set for r in rows.tolist()], dtype=bool)
 
 
 class PredicateRegion(Region):
@@ -226,10 +260,7 @@ class PredicateRegion(Region):
 
 def region_log_probability(dist: SchurWeylDistribution, region: Region) -> float:
     """ln of the total outcome probability of frames whose estimate lies in the region."""
-    members = [
-        lp for frame, lp in dist.items() if region.contains_estimate(frame)
-    ]
-    return log_sum_exp(members)
+    return log_sum_exp(dist.log_probs[region.contains_estimates(dist.rows)])
 
 
 def region_probability(dist: SchurWeylDistribution, region: Region) -> float:
@@ -239,12 +270,8 @@ def region_probability(dist: SchurWeylDistribution, region: Region) -> float:
 
 def distribution_mode(dist: SchurWeylDistribution) -> YoungFrame:
     """Most probable frame; ties go to the lexicographically larger rows."""
-    best_frame = dist.frames[0]
-    best = dist.log_probs[0]
-    for frame, lp in dist.items():
-        if lp > best:
-            best, best_frame = lp, frame
-    return best_frame
+    # argmax takes the first maximum, and frames run in decreasing order
+    return YoungFrame(tuple(dist.rows[int(np.argmax(dist.log_probs))].tolist()))
 
 
 def expectation_of(
@@ -255,6 +282,7 @@ def expectation_of(
     if n == 0:
         raise ValueError("estimates are undefined for an empty frame")
     terms = [
-        f(tuple(v / n for v in frame.rows)) * math.exp(lp) for frame, lp in dist.items()
+        f(tuple(point)) * math.exp(lp)
+        for point, lp in zip((dist.rows / n).tolist(), dist.log_probs.tolist())
     ]
     return math.fsum(terms)

@@ -87,8 +87,8 @@ class SchurTable:
     in-place prefix accumulate per axis, and every summand is positive
     (Demmel & Koev, Math. Comp. 75 (2006)). Only the top cube is kept, and
     its 8 (N+1)^(k-1) bytes are checked against ``MAX_TABLE_BYTES`` first; a
-    top-level shape is one slice of it, evaluated on demand and cached.
-    Build once in a single thread, then share freely for reads.
+    top-level shape is one slice of it, evaluated on demand. The table is
+    read-only once built, so it may be shared freely.
     """
 
     def __init__(self, spectrum: Spectrum, max_boxes: int):
@@ -103,7 +103,6 @@ class SchurTable:
                 f"a Schur table for {self._k} positive eigenvalues and N={max_boxes} needs "
                 f"8*{max_boxes + 1}^{self._k - 1} bytes, over the cap of {MAX_TABLE_BYTES} bytes"
             )
-        self._cache: dict[tuple[int, ...], float] = {}
         self._cube = self._build()
 
     def _build(self) -> np.ndarray:
@@ -144,12 +143,8 @@ class SchurTable:
         if boxes == 0:
             return 0.0
         reduced = (shape + (0,) * k)[:k]
-        cached = self._cache.get(reduced)
-        if cached is None:
-            box = tuple(slice(lower, upper + 1) for upper, lower in zip(reduced, reduced[1:]))
-            cached = boxes * self._log_r[-1] + log_sum_exp(self._cube[box])
-            self._cache[reduced] = cached
-        return cached
+        box = tuple(slice(lower, upper + 1) for upper, lower in zip(reduced, reduced[1:]))
+        return boxes * self._log_r[-1] + log_sum_exp(self._cube[box])
 
 
 def schur_log(frame: YoungFrame, spectrum: Spectrum, *, table: SchurTable | None = None) -> float:

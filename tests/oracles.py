@@ -10,6 +10,7 @@ import bisect
 import itertools
 import math
 from collections import Counter
+from fractions import Fraction
 
 
 def count_partitions(n: int, max_parts: int) -> int:
@@ -176,3 +177,11 @@ def word_shape_distribution(d: int, n: int, values) -> dict[tuple[int, ...], flo
         padded = shape + (0,) * (d - len(shape))
         dist[padded] = dist.get(padded, 0.0) + prob
     return dist
+
+
+def ball_complement_contains(rows, center, radius) -> bool:
+    """Estimate Y/N outside the closed sup-norm ball, one exact Fraction per entry."""
+    n = sum(rows)
+    return any(
+        abs(Fraction(y, n) - Fraction(c)) > Fraction(radius) for y, c in zip(rows, center)
+    )

@@ -2,10 +2,13 @@ import csv
 import hashlib
 import json
 import math
+import os
+import tempfile
 import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from spectrum_scope import ConvergenceError, Spectrum, YoungFrame, exact_distribution
 from spectrum_scope import cli, ldp
@@ -114,6 +117,88 @@ def test_non_finite_input_writes_nothing(tmp_path, command, bad):
     argv = [a.format(bad=bad) if isinstance(a, str) else a for a in command]
     assert run(argv + ["--out", out]) == 2
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["dist", "--d", 2, "--n", 2, "--spectrum", "1e308,1e308"],
+        ["legendre", "--d", 2, "--spectrum", "0.6,0.4", "--s-point", "1e308,1e308"],
+        ["rate-scan", "--d", 2, "--spectrum", "0.7,0.3", "--epsilon", "1e400", "--n-list", 5],
+    ],
+    ids=lambda command: command[0],
+)
+def test_overflowing_input_writes_nothing(tmp_path, command):
+    # finite text whose sum or float value overflows is bad input, not a crash
+    assert run(command + ["--out", tmp_path / "out.csv"]) == 2
+    assert list(tmp_path.iterdir()) == []
+
+
+def _exit_code(argv):
+    try:
+        return main(argv)
+    except SystemExit as exc:  # argparse rejects a malformed integer with exit 2
+        return exc.code
+
+
+# past every cap: N > 400 for exact enumeration, and 10**11 samples need far
+# more than one sampler chain may hold, so no draw allocates or runs long
+_HUGE = str(10**11)
+_HOSTILE = ["nan", "inf", "-inf", "1e308", "-1", "-0.5", "", "abc", "1..2", "0x10"]
+
+
+def _valid_spectrum(d):
+    # thousandths summing to exactly 1000, descending, zeros allowed
+    cuts = st.lists(st.integers(0, 1000), min_size=d - 1, max_size=d - 1).map(sorted)
+    return cuts.map(
+        lambda c: ",".join(
+            f"{v}e-3" for v in sorted((b - a for a, b in zip([0, *c], [*c, 1000])), reverse=True)
+        )
+    )
+
+
+@st.composite
+def _fuzzed_argv(draw):
+    """A valid small invocation with at most one argument replaced by hostile text."""
+    command = draw(st.sampled_from(["dist", "rate-scan", "sample", "legendre"]))
+    # the rate infimum seeds a 200-step grid, about a second per call at d4
+    d = draw(st.integers(1, 3 if command == "rate-scan" else 4))
+    spectra = [",".join([bad] * d) for bad in _HOSTILE] + ["1e308," * d + "1e308", "0.5,0.5,"]
+    options = {"d": str(d), "spectrum": draw(_valid_spectrum(d))}
+    hostile = {"d": ["0", "-2", _HUGE, "", "2.5", "nan"], "spectrum": spectra}
+    if command in ("dist", "sample"):
+        options["n"] = str(draw(st.integers(0, 30)))
+        # the sampler has no cap on N alone, so only dist is sent past it
+        hostile["n"] = ["-1", "", "1e308", "nan"] + (["401", _HUGE] if command == "dist" else [])
+    if command == "rate-scan":
+        options["epsilon"] = draw(st.sampled_from(["0", "0.1", "0.25", "1", "1e308"]))
+        hostile["epsilon"] = _HOSTILE + ["1e400"]
+        options["n-list"] = ",".join(map(str, draw(st.lists(st.integers(1, 30), min_size=1, max_size=3))))
+        hostile["n-list"] = ["0", "-1", "401", _HUGE, "5,", "", "nan", "5," + _HUGE]
+    if command == "sample":
+        options["samples"] = str(draw(st.integers(1, 200)))
+        hostile["samples"] = ["0", "-5", _HUGE, str(10**12), "", "1e308"]
+        options["chains"] = str(draw(st.integers(1, 3)))
+        hostile["chains"] = ["0", "-1", "", "nan"]
+        options["seed"] = str(draw(st.integers(0, 2**64 - 1)))
+        hostile["seed"] = ["-1", str(2**64), "", "abc"]
+    if command == "legendre":
+        options["s-point"] = draw(_valid_spectrum(d))
+        hostile["s-point"] = spectra
+    name = draw(st.sampled_from([None, *hostile]))
+    if name is not None:
+        options[name] = draw(st.sampled_from(hostile[name]))
+    return [command] + [f"--{key}={value}" for key, value in options.items()]
+
+
+@settings(max_examples=500, deadline=None)
+@given(_fuzzed_argv())
+def test_fuzzed_numbers_exit_cleanly(argv):
+    with tempfile.TemporaryDirectory() as tmp:
+        code = _exit_code(argv + [f"--out={tmp}/out.dat"])
+        assert code in (0, 2, 3), argv
+        if code != 0:
+            assert os.listdir(tmp) == [], argv
 
 
 class TestManifest:

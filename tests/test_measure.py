@@ -1,10 +1,12 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import random_spectrum
-from oracles import hook_length_count, word_shape_distribution
+from oracles import ball_complement_contains, hook_length_count, word_shape_distribution
 
 from spectrum_scope import (
     BallComplement,
@@ -24,7 +26,7 @@ from spectrum_scope import (
     region_log_probability,
     region_probability,
 )
-from spectrum_scope.logspace import NEG_INF
+from spectrum_scope.logspace import NEG_INF, log_sum_exp
 
 
 class TestExactDistribution:
@@ -80,7 +82,8 @@ class TestExactDistribution:
         canonical = Spectrum((0.6, 0.3, 0.1))
         a = exact_distribution(3, 12, shuffled)
         b = exact_distribution(3, 12, canonical)
-        assert a.log_probs == b.log_probs
+        assert np.array_equal(a.rows, b.rows)
+        assert np.array_equal(a.log_probs, b.log_probs)
 
     @pytest.mark.parametrize(
         "boxes, values", [(200, (0.5, 0.3, 0.2)), (100, (0.4, 0.3, 0.2, 0.1))]
@@ -92,6 +95,15 @@ class TestExactDistribution:
         dist = exact_distribution(len(values), boxes, spectrum, table=table)
         for frame, lp in dist.items():
             assert lp == table.log_value(frame.rows) + math.log(hook_length_count(frame.rows))
+
+    def test_columns_are_read_only(self):
+        dist = exact_distribution(3, 6, Spectrum((0.5, 0.3, 0.2)))
+        assert dist.rows.dtype == np.int64 and dist.rows.shape == (7, 3)
+        assert dist.log_probs.dtype == np.float64 and dist.log_probs.shape == (7,)
+        with pytest.raises(ValueError):
+            dist.rows[0, 0] = 1
+        with pytest.raises(ValueError):
+            dist.log_probs[0] = 0.0
 
     def test_dimension_cap(self):
         # no cap on d itself: the frame count and the table size are capped
@@ -168,6 +180,59 @@ class TestRegions:
         )
 
 
+@st.composite
+def ball_cases(draw):
+    """Frames with d rows and 1..60 boxes each, and a ball whose sphere passes
+    exactly through the first frame's estimate in one coordinate."""
+    d = draw(st.integers(1, 5))
+
+    def frame():
+        n = draw(st.integers(1, 60))
+        cuts = sorted(draw(st.lists(st.integers(0, n), min_size=d - 1, max_size=d - 1)))
+        return tuple(sorted((b - a for a, b in zip([0, *cuts], [*cuts, n])), reverse=True))
+
+    rows = [frame() for _ in range(draw(st.integers(1, 12)))]
+    radius = draw(
+        st.sampled_from([Fraction(0), Fraction(1, 4), Fraction(1, 10)])
+        | st.fractions(0, 1, max_denominator=60)
+    )
+    center = [Fraction(y, sum(rows[0])) for y in rows[0]]
+    center[draw(st.integers(0, d - 1))] += draw(st.sampled_from([radius, -radius]))
+    return rows, tuple(center), radius
+
+
+@given(ball_cases(), st.booleans())
+@settings(max_examples=300, deadline=None)
+@example((((8, 2), (9, 1), (7, 3)), (Fraction(7, 10), Fraction(3, 10)), Fraction(1, 10)), False)
+@example((((8, 2), (9, 1), (7, 3)), (Fraction(7, 10), Fraction(3, 10)), Fraction(1, 10)), True)
+@example((((6, 2), (5, 3)), (Fraction(3, 4), Fraction(1, 4)), Fraction(0)), True)
+def test_ball_membership_matches_exact_oracle(case, binary):
+    # binary: the same data as binary floats, which the oracle reads exactly
+    rows, center, radius = case
+    if binary:
+        center, radius = tuple(float(c) for c in center), float(radius)
+    region = BallComplement(center=center, radius=radius)
+    got = region.contains_estimates(np.array(rows, dtype=np.int64))
+    assert got.tolist() == [ball_complement_contains(r, center, radius) for r in rows]
+
+
+def test_ball_region_log_probability_matches_oracle_members():
+    spectrum = Spectrum((0.4, 0.3, 0.2, 0.1))
+    dist = exact_distribution(4, 60, spectrum)
+    decimal = tuple(Fraction(v).limit_denominator(10) for v in spectrum.values)
+    for center, radius in [
+        (decimal, Fraction(1, 10)),
+        (spectrum.values, 0.1),
+        (decimal, Fraction(0)),
+        ((Fraction(1, 2), Fraction(1, 4), Fraction(1, 4), Fraction(0)), Fraction(1, 20)),
+    ]:
+        members = [
+            lp for frame, lp in dist.items() if ball_complement_contains(frame.rows, center, radius)
+        ]
+        region = BallComplement(center=center, radius=radius)
+        assert region_log_probability(dist, region) == log_sum_exp(members)
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize(
     "make",
@@ -194,11 +259,10 @@ class TestMode:
         assert distribution_mode(dist).rows == (7,)
 
     def test_tie_breaks_lexicographically(self):
-        frames = tuple(enumerate_frames(2, 4))
         flat = SchurWeylDistribution(
             spectrum=Spectrum((0.5, 0.5)),
-            frames=frames,
-            log_probs=(math.log(1 / 3),) * 3,
+            rows=[frame.rows for frame in enumerate_frames(2, 4)],
+            log_probs=[math.log(1 / 3)] * 3,
         )
         assert distribution_mode(flat).rows == (4, 0)
 
