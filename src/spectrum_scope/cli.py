@@ -249,6 +249,10 @@ def _cmd_legendre(args: argparse.Namespace, argv: list[str]) -> int:
     spectrum = _parse_spectrum(args.spectrum, d, args.allow_unsorted)
     point = _parse_spectrum(args.s_point, d, args.allow_unsorted)
     rate_value = rate(point, spectrum)
+    if math.isinf(rate_value):
+        raise _UsageError(
+            "the rate is +inf: the point puts weight on a zero eigenvalue, and no finite tilt attains it"
+        )
     result = legendre_of_cgf(point, spectrum)
     header = (
         ["rate", "legendre_value", "difference"] + [f"eta{j + 1}" for j in range(d)]

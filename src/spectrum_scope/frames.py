@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 
 @dataclass(frozen=True, order=True)
@@ -92,11 +92,12 @@ def enumerate_frames(d: int, boxes: int) -> Iterator[YoungFrame]:
         raise ValueError(f"need at least one row, got d={d}")
     if boxes < 0:
         raise ValueError(f"box count must be non-negative, got {boxes}")
-    for rows in _partition_tuples(boxes, boxes, d):
+    for rows in partition_tuples(boxes, boxes, d):
         yield YoungFrame(rows)
 
 
-def _partition_tuples(n: int, max_part: int, slots: int) -> Iterator[tuple[int, ...]]:
+def partition_tuples(n: int, max_part: int, slots: int) -> Iterator[tuple[int, ...]]:
+    """Partitions of n into ``slots`` parts <= max_part, zeros kept, lexicographically decreasing."""
     if slots == 0:
         if n == 0:
             yield ()
@@ -106,7 +107,7 @@ def _partition_tuples(n: int, max_part: int, slots: int) -> Iterator[tuple[int, 
         return
     lowest = -(-n // slots)  # smallest feasible leading part
     for part in range(min(n, max_part), lowest - 1, -1):
-        for rest in _partition_tuples(n - part, part, slots - 1):
+        for rest in partition_tuples(n - part, part, slots - 1):
             yield (part,) + rest
 
 
@@ -142,23 +143,25 @@ def _shifted_rows(rows: Sequence[int]) -> tuple[int, ...]:
     return tuple(value + d - 1 - i for i, value in enumerate(rows))
 
 
-def dim_symmetric_irrep(frame: YoungFrame) -> int:
-    """Number of standard tableaux of this shape (exact integer arithmetic).
+def frobenius_dim(rows: Sequence[int], factorial: Callable[[int], int] = math.factorial) -> int:
+    """Number of standard tableaux of the shape ``rows`` (exact integer arithmetic).
 
     Frobenius: f^Y = N! prod_{i<j}(l_i - l_j) / prod_i l_i!, with
-    l_i = Y_i + d - 1 - i (Fulton & Harris, Representation Theory, 4.1).
+    l_i = Y_i + c - 1 - i over the c given rows (Fulton & Harris, 4.1).
+    Appended zero rows leave it unchanged, so pass only the nonzero ones.
     """
-    shifted = _shifted_rows(frame.rows)
-    return (
-        math.factorial(frame.boxes)
-        * _vandermonde(shifted)
-        // math.prod(map(math.factorial, shifted))
-    )
+    shifted = _shifted_rows(rows)
+    return factorial(sum(rows)) * _vandermonde(shifted) // math.prod(map(factorial, shifted))
+
+
+def dim_symmetric_irrep(frame: YoungFrame) -> int:
+    """Number of standard tableaux of this shape: ``frobenius_dim`` of its nonzero rows."""
+    return frobenius_dim(frame.rows[: frame.nonzero_rows()])
 
 
 def log_dim_symmetric_irrep(frame: YoungFrame) -> float:
-    """The Frobenius formula in log space: O(d^2) at any box count."""
-    shifted = _shifted_rows(frame.rows)
+    """The Frobenius formula in log space, over the nonzero rows."""
+    shifted = _shifted_rows(frame.rows[: frame.nonzero_rows()])
     total = math.lgamma(frame.boxes + 1) + math.log(_vandermonde(shifted))
     for value in shifted:
         total -= math.lgamma(value + 1)

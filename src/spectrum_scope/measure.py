@@ -8,8 +8,10 @@ canonical frame order, so every constructed distribution is bit-reproducible.
 from __future__ import annotations
 
 import abc
+import itertools
 import math
 import numbers
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -21,9 +23,9 @@ from .errors import ResourceLimitError
 from .frames import (
     YoungFrame,
     Spectrum,
-    dim_symmetric_irrep,
-    enumerate_frames,
     frame_count,
+    frobenius_dim,
+    partition_tuples,
 )
 from .logspace import NEG_INF, log_sum_exp
 from .schur import SchurTable
@@ -126,11 +128,12 @@ def exact_distribution(
         table = SchurTable(spectrum, boxes)
     elif table.spectrum != spectrum:
         raise ValueError("table was built for a different spectrum")
-    rows, log_probs = [], []
-    for frame in enumerate_frames(d, boxes):
-        rows.append(frame.rows)
-        log_probs.append(table.log_value(frame.rows) + math.log(dim_symmetric_irrep(frame)))
-    return SchurWeylDistribution(spectrum=spectrum, rows=rows, log_probs=log_probs)
+    rows = np.fromiter(partition_tuples(boxes, boxes, d), np.dtype((np.int64, d)), frame_count(d, boxes))
+    # every nonzero row lies in the first min(d, N) columns; l_0 <= N + width - 1
+    width = min(d, boxes)
+    factorials = list(itertools.accumulate(range(1, boxes + width), operator.mul, initial=1))
+    log_dims = [math.log(frobenius_dim(r, factorials.__getitem__)) for r in rows[:, :width].tolist()]
+    return SchurWeylDistribution(spectrum, rows, table.log_values(rows) + log_dims)
 
 
 def _require_finite(what: str, values: Sequence[float | Fraction]) -> None:

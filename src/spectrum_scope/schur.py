@@ -75,20 +75,43 @@ def weighted_dot(weight: Sequence[int], log_values: Sequence[float]) -> float:
     return total
 
 
+def _branch(cube: np.ndarray, low: Sequence[int]) -> None:
+    """One step of the branching rule, in place, on a cube whose axis a holds rows low[a], low[a]+1, ...
+
+    The cube enters indexed by (mu_0, ..., mu_(m-2), Y_(m-1)) and leaves indexed
+    by Y: for each axis a, from the last but one to the first, the terms with
+    mu_a < Y_(a+1) are dropped, then a prefix log-sum sums mu_a over [Y_(a+1), Y_a].
+    """
+    for a in range(cube.ndim - 2, -1, -1):
+        here, after = (np.arange(n) + lo for n, lo in zip(cube.shape[a : a + 2], low[a : a + 2]))
+        below = np.less.outer(here, after)
+        np.copyto(cube, NEG_INF, where=below.reshape(below.shape + (1,) * (cube.ndim - a - 2)))
+        if cube.size >= 64 * cube.shape[a]:
+            # wide slabs: one vector logaddexp per step beats accumulate's scalar
+            # loop about twice over, with the same operations in the same order
+            steps = np.moveaxis(cube, a, 0)
+            for i in range(1, len(steps)):
+                np.logaddexp(steps[i - 1], steps[i], out=steps[i])
+        else:
+            np.logaddexp.accumulate(cube, axis=a, out=cube)
+
+
 class SchurTable:
     """Log Schur values for one spectrum, for any shape up to a box budget.
 
-    With k positive eigenvalues, level j = 1..k-1 is one float64 cube of
-    side N+1 holding ``ln s_Y(r_1..r_j) - |Y| ln r_(j+1)`` at
-    ``cube[Y_1, ..., Y_j]``, -inf off partitions. In that normalisation the
-    branching rule s_Y(r_1..r_j) = sum over interlacing mu of
-    s_mu(r_1..r_(j-1)) r_j^(|Y|-|mu|) needs no weights: level j is a plain
-    log-sum of level j-1 over the box Y_(a+1) <= mu_a <= Y_a, built by one
-    in-place prefix accumulate per axis, and every summand is positive
-    (Demmel & Koev, Math. Comp. 75 (2006)). Only the top cube is kept, and
-    its 8 (N+1)^(k-1) bytes are checked against ``MAX_TABLE_BYTES`` first; a
-    top-level shape is one slice of it, evaluated on demand. The table is
-    read-only once built, so it may be shared freely.
+    With k positive eigenvalues, level j = 1..k-1 is one float64 cube holding
+    ``ln s_Y(r_1..r_j) - |Y| ln r_(j+1)`` at ``cube[Y_1, ..., Y_j]``, -inf off
+    partitions. Row a (0-based) of a shape with at most N boxes is at most
+    N//(a+1), so axis a has side N//(a+1) + 1, and rows past the N-th are 0,
+    so only min(j, N) axes are kept. In that normalisation the branching rule
+    s_Y(r_1..r_j) = sum over interlacing mu of s_mu(r_1..r_(j-1)) r_j^(|Y|-|mu|)
+    needs no weights: level j is a plain log-sum of level j-1 over the box
+    Y_(a+1) <= mu_a <= Y_a, built by ``_branch``, and every summand is
+    positive (Demmel & Koev, Math. Comp. 75 (2006)). Only the top cube is
+    kept. The top level runs ``_branch`` once per value of the last row, on a
+    crop of the top cube; the cube and its largest crop, 16 bytes per cell,
+    are checked against ``MAX_TABLE_BYTES`` first. The table is read-only
+    once built, so it may be shared freely.
     """
 
     def __init__(self, spectrum: Spectrum, max_boxes: int):
@@ -98,29 +121,26 @@ class SchurTable:
         self.max_boxes = max_boxes
         self._log_r = [math.log(v) for v in spectrum.values if v > 0.0]
         self._k = len(self._log_r)
-        if 8 * (max_boxes + 1) ** (self._k - 1) > MAX_TABLE_BYTES:
+        needed = 16 * math.prod(max_boxes // (a + 1) + 1 for a in range(min(self._k - 1, max_boxes)))
+        if needed > MAX_TABLE_BYTES:
             raise ResourceLimitError(
                 f"a Schur table for {self._k} positive eigenvalues and N={max_boxes} needs "
-                f"8*{max_boxes + 1}^{self._k - 1} bytes, over the cap of {MAX_TABLE_BYTES} bytes"
+                f"{needed} bytes (top cube and one crop), over the cap of {MAX_TABLE_BYTES} bytes"
             )
         self._cube = self._build()
 
     def _build(self) -> np.ndarray:
-        side, lr = self.max_boxes + 1, self._log_r
-        sizes = np.arange(side, dtype=float)
-        # below[p, q]: index q on axis a+1 exceeds index p on axis a
-        below = sizes[:, None] < sizes[None, :]
+        lr = self._log_r
         cube = np.zeros(())
         for j in range(1, self._k):
-            previous, cube = cube, np.empty((side,) * j)
+            side = self.max_boxes // j + 1
+            previous, cube = cube, np.empty(cube.shape + (side,))
             cube[...] = previous[..., None]
-            for a in range(j - 2, -1, -1):
-                # sum mu_(a+1) over [Y_(a+2), Y_(a+1)]: drop the terms below the
-                # lower bound, then a prefix sum turns axis a from mu into Y
-                np.copyto(cube, NEG_INF, where=below.reshape(below.shape + (1,) * (j - a - 2)))
-                np.logaddexp.accumulate(cube, axis=a, out=cube)
-            for a in range(j):
-                cube += (sizes * (lr[j - 1] - lr[j])).reshape((side,) + (1,) * (j - 1 - a))
+            _branch(cube, (0,) * cube.ndim)
+            if side == 1:
+                cube = cube[..., 0]  # row j-1 >= N is 0: keep no axis for it
+            for a, n in enumerate(cube.shape):
+                cube += (np.arange(n) * (lr[j - 1] - lr[j])).reshape((n,) + (1,) * (cube.ndim - 1 - a))
         return cube
 
     def log_value(self, rows: Sequence[int]) -> float:
@@ -131,20 +151,30 @@ class SchurTable:
                 raise ValueError(f"shape must be non-increasing: {shape}")
         if shape and shape[-1] < 0:
             raise ValueError(f"shape must be non-negative: {shape}")
-        boxes = sum(shape)
-        if boxes > self.max_boxes:
-            raise ValueError(
-                f"shape has {boxes} boxes, table was built for at most {self.max_boxes}"
-            )
-        k = self._k
-        if any(v > 0 for v in shape[k:]):
-            # more nonzero rows than nonzero eigenvalues: the value is exactly 0
-            return NEG_INF
-        if boxes == 0:
-            return 0.0
-        reduced = (shape + (0,) * k)[:k]
-        box = tuple(slice(lower, upper + 1) for upper, lower in zip(reduced, reduced[1:]))
-        return boxes * self._log_r[-1] + log_sum_exp(self._cube[box])
+        return float(self.log_values([shape + (0,) * (self._k - len(shape))])[0])
+
+    def log_values(self, rows) -> np.ndarray:
+        """ln s_Y(r) for each shape, one non-increasing row of ``rows`` (at least k columns) per shape.
+
+        Shapes are batched by Y_m, the first row the top cube does not index;
+        a batch branches the crop [min Y_(a+1), max Y_a] on each axis a. Terms
+        below Y_(a+1) are masked and logaddexp(-inf, x) == x, so a value does
+        not depend, to the bit, on the rest of its batch.
+        """
+        rows, k, m = np.asarray(rows, dtype=np.int64), self._k, self._cube.ndim
+        boxes = rows.sum(axis=1)
+        if boxes.max(initial=0) > self.max_boxes:
+            raise ValueError(f"a shape has {boxes.max()} boxes, the table allows {self.max_boxes}")
+        out = np.full(len(rows), NEG_INF)
+        live = ~rows[:, k:].any(axis=1)  # more nonzero rows than eigenvalues: exactly 0
+        for y in np.flatnonzero(np.bincount(rows[live, m])):
+            pick = np.flatnonzero(live & (rows[:, m] == y))
+            shapes = rows[pick, : m + 1]
+            low, high = shapes[:, 1:].min(axis=0), shapes[:, :m].max(axis=0)
+            crop = self._cube[tuple(map(slice, low, high + 1)) + (None,)].copy()
+            _branch(crop, (*low, y))
+            out[pick] = boxes[pick] * self._log_r[-1] + crop[(*(shapes[:, :m] - low).T, 0)]
+        return out
 
 
 def schur_log(frame: YoungFrame, spectrum: Spectrum, *, table: SchurTable | None = None) -> float:

@@ -65,6 +65,21 @@ def hook_length_count(shape) -> int:
     return math.factorial(sum(rows)) // product
 
 
+def uniform_law_probability(shape, d: int) -> Fraction:
+    """P(Y) = f^Y dim_U(Y) / d^N for the uniform spectrum of d levels.
+
+    dim_U is the hook-content formula, prod over cells (i, j) of
+    (d + j - i) / hook(i, j); a shape with more than d rows gets 0.
+    """
+    rows = [r for r in shape if r > 0]
+    contents, hooks = 1, 1
+    for i, length in enumerate(rows):
+        for j in range(length):
+            contents *= d + j - i
+            hooks *= length - j + sum(1 for below in rows[i + 1 :] if below > j)
+    return Fraction(hook_length_count(rows) * contents, hooks * d ** sum(rows))
+
+
 def ssyt_contents(shape, d: int):
     """Content vectors of all semistandard fillings, by cell-wise backtracking."""
     rows = [r for r in shape if r > 0]

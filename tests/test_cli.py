@@ -80,15 +80,16 @@ class TestDist:
         assert a.read_bytes() == b.read_bytes()
 
     def test_resource_cap_exit_code(self, tmp_path):
-        code = run(["dist", "--d", 1000, "--n", 3, "--spectrum", ",".join(["0.001"] * 1000), "--out", tmp_path / "x.csv"])
+        # d1000 N15 is the largest size whose Schur table fits
+        code = run(["dist", "--d", 1000, "--n", 16, "--spectrum", ",".join(["0.001"] * 1000), "--out", tmp_path / "x.csv"])
         assert code == 3
         code = run(["dist", "--d", 2, "--n", 401, "--spectrum", "0.5,0.5", "--out", tmp_path / "x.csv"])
         assert code == 3
         assert list(tmp_path.iterdir()) == []
 
-    @pytest.mark.parametrize("d, boxes", [(4, 401), (5, 90), (6, 36)])
+    @pytest.mark.parametrize("d, boxes", [(4, 401), (5, 168), (6, 81)])
     def test_one_past_each_cap_allocates_nothing(self, tmp_path, d, boxes):
-        # d4 N400, d5 N89 and d6 N35 are the largest accepted sizes
+        # d4 N400, d5 N167 and d6 N80 are the largest accepted sizes
         spectrum = ",".join(["0.5"] + [str(0.5 / (d - 1))] * (d - 1))
         tracemalloc.start()
         try:
@@ -99,6 +100,13 @@ class TestDist:
         assert code == 3
         assert list(tmp_path.iterdir()) == []
         assert peak < 2**20
+
+    @pytest.mark.parametrize("d", [66, 1000])
+    def test_more_rows_than_numpy_axes(self, tmp_path, d):
+        # the Schur table keeps one axis per row that can be nonzero, at most N
+        out = tmp_path / "x.csv"
+        assert run(["dist", "--d", d, "--n", 0, "--spectrum", ",".join([repr(1 / d)] * d), "--out", out]) == 0
+        assert len(read_csv(out)) == 1
 
 
 @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
@@ -199,6 +207,8 @@ def test_fuzzed_numbers_exit_cleanly(argv):
         assert code in (0, 2, 3), argv
         if code != 0:
             assert os.listdir(tmp) == [], argv
+        else:
+            assert "nan" not in Path(tmp, "out.dat").read_text().lower(), argv
 
 
 class TestManifest:
@@ -314,6 +324,13 @@ class TestLegendre:
         record = dict(zip(*[line.split(",") for line in capsys.readouterr().out.strip().splitlines()]))
         assert float(record["rate"]) == pytest.approx(math.log(1 / 0.6), abs=1e-10)
         assert float(record["legendre_value"]) == pytest.approx(math.log(1 / 0.6), abs=1e-8)
+
+    def test_weight_on_a_zero_eigenvalue_writes_nothing(self, tmp_path, capsys):
+        # the rate is +inf there and no finite tilt attains it
+        out = tmp_path / "x.csv"
+        assert run(["legendre", "--d", 2, "--spectrum", "1,0", "--s-point", "0.5,0.5", "--out", out]) == 2
+        assert "+inf" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_non_convergence_exit_code(self, monkeypatch):
         def explode(*args, **kwargs):

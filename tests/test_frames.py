@@ -1,4 +1,5 @@
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -116,6 +117,14 @@ class TestSymmetricDimension:
     )
     def test_frobenius_matches_hook_length_oracle_at_cap(self, rows):
         assert dim_symmetric_irrep(YoungFrame(rows)) == hook_length_count(rows)
+
+    def test_zero_rows_leave_the_count_and_cost_alone(self):
+        start = time.perf_counter()
+        for rows in [(2, 1), (5, 3, 1), (40, 30, 20, 10)]:
+            padded = YoungFrame(rows + (0,) * (1000 - len(rows)))
+            assert dim_symmetric_irrep(padded) == dim_symmetric_irrep(YoungFrame(rows)) == hook_length_count(rows)
+            assert log_dim_symmetric_irrep(padded) == log_dim_symmetric_irrep(YoungFrame(rows))
+        assert time.perf_counter() - start < 0.5
 
     def test_log_path_matches_exact_path(self):
         # the exact integer stays available far beyond float range; the log

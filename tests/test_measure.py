@@ -6,7 +6,12 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import random_spectrum
-from oracles import ball_complement_contains, hook_length_count, word_shape_distribution
+from oracles import (
+    ball_complement_contains,
+    hook_length_count,
+    uniform_law_probability,
+    word_shape_distribution,
+)
 
 from spectrum_scope import (
     BallComplement,
@@ -23,6 +28,7 @@ from spectrum_scope import (
     enumerate_frames,
     exact_distribution,
     expectation_of,
+    frame_count,
     region_log_probability,
     region_probability,
 )
@@ -113,7 +119,15 @@ class TestExactDistribution:
         with pytest.raises(ResourceLimitError, match="frames"):
             exact_distribution(5, 400, Spectrum((0.2,) * 5))
         with pytest.raises(ResourceLimitError, match="bytes"):
-            exact_distribution(1000, 3, Spectrum((0.001,) * 1000))
+            exact_distribution(1000, 16, Spectrum((0.001,) * 1000))
+
+    @pytest.mark.parametrize("d", [66, 1000])
+    @pytest.mark.parametrize("boxes", [0, 1, 2, 3])
+    def test_uniform_law_past_numpy_axis_limit(self, d, boxes):
+        dist = exact_distribution(d, boxes, Spectrum((1 / d,) * d))
+        assert len(dist.log_probs) == frame_count(d, boxes)
+        for frame, lp in dist.items():
+            assert abs(lp - math.log(uniform_law_probability(frame.rows, d))) <= 1e-13
 
     @pytest.mark.parametrize("d, boxes", [(5, 60), (6, 25)])
     def test_normalized_beyond_four_rows(self, d, boxes):

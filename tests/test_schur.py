@@ -93,8 +93,9 @@ class TestSchurLog:
 
     def test_table_cap_checked_before_allocating(self, monkeypatch):
         spectrum = Spectrum((0.4, 0.3, 0.2, 0.1))
-        cube_bytes = 8 * 61**3
-        monkeypatch.setattr(schur, "MAX_TABLE_BYTES", cube_bytes - 8)
+        # staircase top cube of sides 61, 31, 21, plus a crop as large as it
+        table_bytes = 16 * 61 * 31 * 21
+        monkeypatch.setattr(schur, "MAX_TABLE_BYTES", table_bytes - 8)
         tracemalloc.start()
         try:
             with pytest.raises(ResourceLimitError, match="bytes"):
@@ -102,14 +103,17 @@ class TestSchurLog:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < cube_bytes // 16
-        monkeypatch.setattr(schur, "MAX_TABLE_BYTES", cube_bytes)
+        assert peak < table_bytes // 16
+        monkeypatch.setattr(schur, "MAX_TABLE_BYTES", table_bytes)
         SchurTable(spectrum, 60)
 
-    @pytest.mark.parametrize("d, reach", [(3, 8191), (4, 405), (5, 89), (6, 35), (7, 19)])
+    @pytest.mark.parametrize(
+        "d, reach", [(3, 8191), (4, 584), (5, 167), (6, 80), (7, 51), (8, 37)]
+    )
     def test_table_cap_reach(self, monkeypatch, d, reach):
-        # the largest N whose top cube fits, checked without building the cubes;
-        # at d <= 4 the box cap of exact_distribution (N <= 400) binds first
+        # the largest N whose top cube and crop fit, checked without building
+        # the cubes; at d <= 4 the box cap of exact_distribution (N <= 400)
+        # binds first
         monkeypatch.setattr(SchurTable, "_build", lambda self: None)
         spectrum = Spectrum((1 / d,) * d)
         SchurTable(spectrum, reach)
