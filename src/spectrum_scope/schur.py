@@ -30,7 +30,8 @@ from .logspace import NEG_INF, log_sum_exp
 KOSTKA_MAX_BOXES = 12
 KOSTKA_MAX_ROWS = 4
 CYCLE_SUM_MAX_BOXES = 8
-#: Cap on the top cube of a SchurTable, checked before it is allocated.
+#: Cap on the top cube of a SchurTable plus its largest crop, 16 * prod of the
+#: staircase sides, checked before allocation.
 MAX_TABLE_BYTES = 2**29
 
 
@@ -86,14 +87,7 @@ def _branch(cube: np.ndarray, low: Sequence[int]) -> None:
         here, after = (np.arange(n) + lo for n, lo in zip(cube.shape[a : a + 2], low[a : a + 2]))
         below = np.less.outer(here, after)
         np.copyto(cube, NEG_INF, where=below.reshape(below.shape + (1,) * (cube.ndim - a - 2)))
-        if cube.size >= 64 * cube.shape[a]:
-            # wide slabs: one vector logaddexp per step beats accumulate's scalar
-            # loop about twice over, with the same operations in the same order
-            steps = np.moveaxis(cube, a, 0)
-            for i in range(1, len(steps)):
-                np.logaddexp(steps[i - 1], steps[i], out=steps[i])
-        else:
-            np.logaddexp.accumulate(cube, axis=a, out=cube)
+        np.logaddexp.accumulate(cube, axis=a, out=cube)
 
 
 class SchurTable:
