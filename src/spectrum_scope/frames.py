@@ -6,10 +6,14 @@ fixed dimension compare row by row against the spectra they estimate.
 """
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator, Sequence
+
+import numpy as np
 
 
 @dataclass(frozen=True, order=True)
@@ -160,12 +164,18 @@ def dim_symmetric_irrep(frame: YoungFrame) -> int:
 
 
 def log_dim_symmetric_irrep(frame: YoungFrame) -> float:
-    """The Frobenius formula in log space, over the nonzero rows."""
-    shifted = _shifted_rows(frame.rows[: frame.nonzero_rows()])
-    total = math.lgamma(frame.boxes + 1) + math.log(_vandermonde(shifted))
-    for value in shifted:
-        total -= math.lgamma(value + 1)
-    return total
+    return math.log(dim_symmetric_irrep(frame))
+
+
+def log_frobenius_dims(rows: np.ndarray, boxes: int) -> list[float]:
+    """ln f^Y for each frame of ``rows`` (int, F x d, each row summing to ``boxes``).
+
+    Exact Frobenius integers over one factorial table shared by all frames.
+    """
+    # every nonzero row lies in the first min(d, N) columns; l_0 <= N + width - 1
+    width = min(rows.shape[1], boxes)
+    factorials = list(itertools.accumulate(range(1, boxes + width), operator.mul, initial=1))
+    return [math.log(frobenius_dim(r, factorials.__getitem__)) for r in rows[:, :width].tolist()]
 
 
 def dim_unitary_irrep(frame: YoungFrame, d: int | None = None) -> int:

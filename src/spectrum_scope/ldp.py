@@ -14,7 +14,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConvergenceError, EmptyRegionError
-from .frames import Spectrum, dim_symmetric_irrep, enumerate_frames
+from .frames import Spectrum, log_frobenius_dims, partition_tuples
 from .logspace import NEG_INF, log_sum_exp
 from .measure import (
     BallComplement,
@@ -26,7 +26,7 @@ from .measure import (
     exact_distribution,
     region_log_probability,
 )
-from .schur import SchurTable, weighted_dot
+from .schur import SchurTable
 
 _GRID_RESOLUTION = 200
 
@@ -200,9 +200,11 @@ def j_equivalence_gap(
         dist = exact_distribution(d, boxes, spectrum, table=table)
     log_j = _tilted_log_sum(dist, eta)
     tilted_h = [(math.log(v) if v > 0.0 else NEG_INF) + float(x) for v, x in zip(spectrum, eta)]
-    log_j_proxy = log_sum_exp(
-        [weighted_dot(f.rows, tilted_h) + math.log(dim_symmetric_irrep(f)) for f in dist.frames]
-    )
+    highest_weight = np.zeros(len(dist.rows))
+    for column, h in zip(dist.rows.T, tilted_h):
+        used = column > 0  # 0 * (-inf) := 0, as in schur.weighted_dot
+        highest_weight[used] += column[used] * h
+    log_j_proxy = log_sum_exp(highest_weight + log_frobenius_dims(dist.rows, dist.boxes))
     return (log_j - log_j_proxy) / boxes
 
 
@@ -214,16 +216,12 @@ class RegionInfimum:
     minimizer: Spectrum | None
 
 
-def _minimize_rate_convex(
-    reference: Sequence[float],
-    d: int,
-    linear_ineqs: list[tuple[np.ndarray, float]],
-    x0: np.ndarray,
-) -> np.ndarray | None:
-    """Minimize the rate over the ordered simplex under extra linear constraints."""
+def _minimize_rate_convex(reference: Sequence[float], normal: np.ndarray, offset: float) -> np.ndarray | None:
+    """Minimize the rate over the ordered simplex cut by normal . s >= offset, starting from r."""
     from scipy import optimize
 
     rv = np.asarray(reference, dtype=float)
+    d = len(rv)
     support = rv > 0.0
     floor = 1e-15
 
@@ -233,23 +231,17 @@ def _minimize_rate_convex(
         grad = np.where(support, np.log(xs) - np.log(np.where(support, rv, 1.0)) + 1.0, 0.0)
         return val, grad
 
+    ordering = np.eye(d - 1, d) - np.eye(d - 1, d, 1)  # rows e_j - e_(j+1)
     constraints = [
-        {"type": "eq", "fun": lambda x: np.sum(x) - 1.0, "jac": lambda x: np.ones(d)}
+        {"type": "eq", "fun": lambda x: np.sum(x) - 1.0, "jac": lambda x: np.ones(d)},
+        {"type": "ineq", "fun": lambda x: normal @ x - offset, "jac": lambda x: normal},
     ]
-    for j in range(d - 1):
-        a = np.zeros(d)
-        a[j], a[j + 1] = 1.0, -1.0
-        constraints.append(
-            {"type": "ineq", "fun": (lambda x, a=a: a @ x), "jac": (lambda x, a=a: a)}
-        )
-    for a, b in linear_ineqs:
-        constraints.append(
-            {"type": "ineq", "fun": (lambda x, a=a, b=b: a @ x - b), "jac": (lambda x, a=a: a)}
-        )
+    if d > 1:
+        constraints.append({"type": "ineq", "fun": lambda x: ordering @ x, "jac": lambda x: ordering})
     bounds = [(0.0, 1.0) if support[j] else (0.0, 0.0) for j in range(d)]
     result = optimize.minimize(
         objective,
-        x0,
+        rv,
         jac=True,
         bounds=bounds,
         constraints=constraints,
@@ -257,15 +249,8 @@ def _minimize_rate_convex(
         options={"maxiter": 300, "ftol": 1e-14},
     )
     x = np.asarray(result.x, dtype=float)
-    if not np.all(np.isfinite(x)):
-        return None
-    violation = abs(float(np.sum(x)) - 1.0)
-    violation = max(violation, float(np.max(np.maximum(x[1:] - x[:-1], 0.0), initial=0.0)))
-    for a, b in linear_ineqs:
-        violation = max(violation, max(0.0, b - float(a @ x)))
-    if violation > 1e-8:
-        return None
-    return x
+    violation = max(abs(float(np.sum(x)) - 1.0), offset - float(normal @ x), *(x[1:] - x[:-1]).tolist())
+    return x if np.all(np.isfinite(x)) and violation <= 1e-8 else None
 
 
 def _certify_point(raw: np.ndarray, region: Region):
@@ -295,16 +280,50 @@ def _certify_point(raw: np.ndarray, region: Region):
     return None
 
 
-def inf_rate_over_region(region: Region, reference: Spectrum) -> RegionInfimum:
-    """Minimize the rate over a region by grid seeding plus convex refinement.
+def _half_space_pieces(region: BallComplement | HalfSpace, d: int) -> list[tuple[np.ndarray, float]]:
+    """Half-spaces a . s >= b whose union is the region (closed, for a ball complement)."""
+    if isinstance(region, HalfSpace):
+        return [(np.asarray(region.normal, dtype=float), region.offset)]
+    pieces = []
+    for j, center in enumerate(region.center):
+        axis = np.zeros(d)
+        axis[j] = 1.0
+        pieces.append((axis, float(center) + float(region.radius)))
+        pieces.append((-axis, float(region.radius) - float(center)))
+    return pieces
 
-    The rate is convex but the region need not be; ball complements and
-    half-spaces are decomposed into convex slabs that are each solved
-    exactly, other regions fall back to multistart refinement from the grid.
-    Raises EmptyRegionError when no feasible point is found.
+
+def _toward_reference(region: Region, reference: Spectrum, seed: tuple[float, ...]) -> Spectrum:
+    """A region member on the segment from r to the member ``seed``, bisected toward r.
+
+    The rate is convex and zero at r, so it grows along the segment.
+    """
+    lo, hi, best = 0.0, 1.0, seed
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        point = tuple((1.0 - mid) * a + mid * b for a, b in zip(reference, seed))
+        if region.contains_point(point):
+            hi, best = mid, point
+        else:
+            lo = mid
+    return Spectrum(best)
+
+
+def inf_rate_over_region(region: Region, reference: Spectrum) -> RegionInfimum:
+    """Minimize the rate over a region; the minimizer is always a region member.
+
+    Ball complements and half-spaces are unions of half-spaces. The rate is
+    convex, so each piece (intersected with the ordered simplex) is solved
+    once by SLSQP from r. A linear function peaks over the ordered simplex
+    at one of its vertices (1/k, ..., 1/k, 0, ..., 0), so the region is
+    empty exactly when it holds none of them; the vertices it holds are
+    candidates too, which keeps a region whose every point has infinite
+    rate from being reported empty. Frame lists are searched directly. Any
+    other region is seeded from the lattice of spacing 1/200 and each of
+    the 8 best seeds is bisected toward r. Raises EmptyRegionError when no
+    member is found.
     """
     d = reference.d
-    rv = np.asarray(reference.values, dtype=float)
 
     if isinstance(region, FrameSet):
         best = None
@@ -320,69 +339,24 @@ def inf_rate_over_region(region: Region, reference: Spectrum) -> RegionInfimum:
             raise EmptyRegionError("frame list region contains no usable frame")
         return best
 
-    seeds: list[tuple[float, tuple[float, ...]]] = []
-    # lattice points k/resolution of the closed ordered simplex
-    for frame in enumerate_frames(d, _GRID_RESOLUTION):
-        point = tuple(t / _GRID_RESOLUTION for t in frame.rows)
-        if region.contains_point(point):
-            seeds.append((rate(point, reference), point))
-    seeds.sort(key=lambda item: item[0])
-
-    pieces: list[list[tuple[np.ndarray, float]]] = []
-    if isinstance(region, BallComplement):
-        for j in range(d):
-            axis = np.zeros(d)
-            axis[j] = 1.0
-            center_j, radius = float(region.center[j]), float(region.radius)
-            pieces.append([(axis, center_j + radius)])
-            pieces.append([(-axis, -(center_j - radius))])
-    elif isinstance(region, HalfSpace):
-        pieces.append([(np.asarray(region.normal, dtype=float), region.offset)])
-
-    candidates: list[Spectrum] = []
-    if pieces:
-        for ineqs in pieces:
-            x0 = None
-            for value, point in seeds:
-                if all(a @ np.asarray(point) - b >= 0 for a, b in ineqs):
-                    x0 = np.asarray(point, dtype=float)
-                    break
-            if x0 is None:
-                x0 = rv.copy()
-            solution = _minimize_rate_convex(reference.values, d, ineqs, x0)
-            if solution is not None:
-                certified = _certify_point(solution, region)
-                if certified is not None:
-                    candidates.append(certified)
-    else:
-        for value, point in seeds[:8]:
-            solution = _minimize_rate_convex(
-                reference.values, d, [], np.asarray(point, dtype=float)
-            )
-            if solution is None:
-                continue
-            certified = _certify_point(solution, region)
+    if isinstance(region, (BallComplement, HalfSpace)):
+        vertices = [(1.0 / k,) * k + (0.0,) * (d - k) for k in range(1, d + 1)]
+        candidates = [Spectrum(v) for v in vertices if region.contains_point(v)]
+        for piece in _half_space_pieces(region, d):
+            solution = _minimize_rate_convex(reference.values, *piece)
+            certified = None if solution is None else _certify_point(solution, region)
             if certified is not None:
                 candidates.append(certified)
-            else:
-                # walk back toward the feasible seed until membership holds
-                lo, hi = 0.0, 1.0
-                seed_arr = np.asarray(point, dtype=float)
-                for _ in range(60):
-                    mid = 0.5 * (lo + hi)
-                    blend = (1 - mid) * solution + mid * seed_arr
-                    blend /= blend.sum()
-                    if region.contains_point(tuple(np.sort(blend)[::-1])):
-                        hi = mid
-                    else:
-                        lo = mid
-                blend = (1 - hi) * solution + hi * seed_arr
-                certified = _certify_point(blend, region)
-                if certified is not None:
-                    candidates.append(certified)
-
-    for value, point in seeds[:1]:
-        candidates.append(Spectrum(point))
+    elif region.contains_point(reference.values):
+        candidates = [reference]
+    else:
+        # lattice points k/resolution of the closed ordered simplex
+        lattice = (
+            tuple(t / _GRID_RESOLUTION for t in rows)
+            for rows in partition_tuples(_GRID_RESOLUTION, _GRID_RESOLUTION, d)
+        )
+        seeds = sorted(filter(region.contains_point, lattice), key=lambda point: rate(point, reference))
+        candidates = [_toward_reference(region, reference, seed) for seed in seeds[:8]]
 
     if not candidates:
         raise EmptyRegionError("region contains no point of the ordered simplex")

@@ -8,10 +8,8 @@ canonical frame order, so every constructed distribution is bit-reproducible.
 from __future__ import annotations
 
 import abc
-import itertools
 import math
 import numbers
-import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -24,7 +22,7 @@ from .frames import (
     YoungFrame,
     Spectrum,
     frame_count,
-    frobenius_dim,
+    log_frobenius_dims,
     partition_tuples,
 )
 from .logspace import NEG_INF, log_sum_exp
@@ -129,11 +127,7 @@ def exact_distribution(
     elif table.spectrum != spectrum:
         raise ValueError("table was built for a different spectrum")
     rows = np.fromiter(partition_tuples(boxes, boxes, d), np.dtype((np.int64, d)), frame_count(d, boxes))
-    # every nonzero row lies in the first min(d, N) columns; l_0 <= N + width - 1
-    width = min(d, boxes)
-    factorials = list(itertools.accumulate(range(1, boxes + width), operator.mul, initial=1))
-    log_dims = [math.log(frobenius_dim(r, factorials.__getitem__)) for r in rows[:, :width].tolist()]
-    return SchurWeylDistribution(spectrum, rows, table.log_values(rows) + log_dims)
+    return SchurWeylDistribution(spectrum, rows, table.log_values(rows) + log_frobenius_dims(rows, boxes))
 
 
 def _require_finite(what: str, values: Sequence[float | Fraction]) -> None:
@@ -205,10 +199,12 @@ class BallComplement(Region):
         return tuple(float(c) for c in self.center)
 
     def contains_point(self, values: Sequence[float]) -> bool:
-        distance = max(abs(v - c) for v, c in zip(values, self._float_center))
+        distance = max(abs(v - c) for v, c in zip(values, self._float_center, strict=True))
         return distance > float(self.radius)
 
     def contains_estimates(self, rows: np.ndarray) -> np.ndarray:
+        if rows.shape[1] != len(self.center):
+            raise ValueError(f"ball center has {len(self.center)} entries, frames have {rows.shape[1]} rows")
         # |Y_j/N - c_j| > a  <=>  |Y_j q - (q c_j) N| > (q a) N, in Python ints
         # because q is up to 2^1074 for binary-float data
         q, center, radius = self._scaled
@@ -229,7 +225,7 @@ class HalfSpace(Region):
         _require_finite("half-space normal and offset", (*self.normal, self.offset))
 
     def contains_point(self, values: Sequence[float]) -> bool:
-        return math.fsum(n * v for n, v in zip(self.normal, values)) >= self.offset
+        return math.fsum(n * v for n, v in zip(self.normal, values, strict=True)) >= self.offset
 
 
 @dataclass(frozen=True)

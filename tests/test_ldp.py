@@ -265,6 +265,39 @@ class TestInfRateOverRegion:
         result = inf_rate_over_region(region, r)
         assert result.value == pytest.approx(binary_rate(0.75, 0.6), abs=1e-4)
 
+    def test_half_space_four_levels_closed_form(self):
+        # I-projection: s1 = 0.8, the other three proportional to r
+        result = inf_rate_over_region(HalfSpace((1.0, 0.0, 0.0, 0.0), 0.8), Spectrum((0.4, 0.3, 0.2, 0.1)))
+        assert result.value == pytest.approx(0.8 * math.log(2) + 0.2 * math.log(1 / 3), abs=1e-9)
+
+    def test_ball_complement_five_levels_closed_form(self, monkeypatch):
+        r = Spectrum((0.3, 0.25, 0.2, 0.15, 0.1))
+        region = BallComplement(center=r.values, radius=0.1)
+        calls = []
+        contains_point = BallComplement.contains_point
+        monkeypatch.setattr(
+            BallComplement, "contains_point", lambda self, v: calls.append(v) or contains_point(self, v)
+        )
+        result = inf_rate_over_region(region, r)
+        # best piece s1 >= 0.4, the other four proportional to r
+        assert result.value == pytest.approx(0.4 * math.log(4 / 3) + 0.6 * math.log(6 / 7), abs=1e-9)
+        assert contains_point(region, result.minimizer.values)
+        # one solve per half-space piece, no lattice search
+        assert len(calls) < 1000
+
+    def test_region_of_infinite_rate_is_not_empty(self):
+        # s3 >= 0.1 meets the ordered simplex, but only where r = 0
+        region = HalfSpace((0.0, 0.0, 1.0), 0.1)
+        result = inf_rate_over_region(region, Spectrum((0.5, 0.5, 0.0)))
+        assert result.value == math.inf
+        assert region.contains_point(result.minimizer.values)
+
+    def test_predicate_holding_the_reference_is_zero(self):
+        r = Spectrum((0.4, 0.3, 0.2, 0.1))
+        result = inf_rate_over_region(PredicateRegion(lambda s: True), r)
+        assert result.value == 0.0
+        assert result.minimizer == r
+
 
 def binary_entropy(p: float) -> float:
     return -(p * math.log(p) + (1 - p) * math.log(1 - p))

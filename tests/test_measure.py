@@ -29,6 +29,7 @@ from spectrum_scope import (
     exact_distribution,
     expectation_of,
     frame_count,
+    inf_rate_over_region,
     region_log_probability,
     region_probability,
 )
@@ -192,6 +193,25 @@ class TestRegions:
         assert region_probability(dist, region) == pytest.approx(
             dist.prob(YoungFrame((3, 1))), abs=1e-15
         )
+
+
+class TestRegionDimension:
+    """Region data of the wrong length raise instead of broadcasting or truncating."""
+
+    dist = exact_distribution(2, 10, Spectrum((0.7, 0.3)))
+
+    def test_short_ball_center(self):
+        with pytest.raises(ValueError):
+            region_probability(self.dist, BallComplement(center=(0.7,), radius=0.1))
+
+    def test_short_half_space_normal(self):
+        with pytest.raises(ValueError):
+            region_probability(self.dist, HalfSpace(normal=(1.0,), offset=0.75))
+
+    def test_long_ball_center_for_the_rate_infimum(self):
+        region = BallComplement(center=(0.5, 0.3, 0.2), radius=0.1)
+        with pytest.raises(ValueError):
+            inf_rate_over_region(region, Spectrum((0.7, 0.3)))
 
 
 @st.composite
