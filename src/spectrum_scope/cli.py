@@ -199,12 +199,18 @@ def _cmd_rate_scan(args: argparse.Namespace, argv: list[str]) -> int:
     # exact decimal region data, so boundary estimates classify exactly
     region = BallComplement(center=_exact_center(args.spectrum), radius=epsilon)
     profile = rate_scan(args.d, spectrum, region, boxes_list)
+    target = profile.target
     header = ["N", "region_prob", "decay_rate", "target_rate"]
     rows = []
     for point in profile.points:
         prob = 0.0 if point.empty else math.exp(point.log_prob)
-        rows.append([point.boxes, prob, point.decay, profile.target.value])
-    text = _csv_text(header, rows) if args.format == "csv" else _json_records_text(header, rows)
+        rows.append([point.boxes, prob, point.decay, target.value])
+    if args.format == "csv":
+        text = _csv_text(header, rows)
+    else:
+        # JSON records also carry the region member that attains a finite target
+        minimizer = list(target.minimizer.values) if math.isfinite(target.value) else None
+        text = _json_records_text(header + ["target_minimizer"], [row + [minimizer] for row in rows])
     data = _write_text(args.out, text)
     _write_manifest("rate-scan", args, argv, data)
     return EXIT_OK

@@ -49,7 +49,8 @@ def rate(s, r) -> float:
         if b == 0.0:
             return math.inf
         terms.append(a * (math.log(a) - math.log(b)))
-    return math.fsum(terms)
+    # non-negative (Gibbs); next to r the sum can round to about -1e-16
+    return max(math.fsum(terms), 0.0)
 
 
 def cgf(eta: Sequence[float], r) -> float:
@@ -216,70 +217,6 @@ class RegionInfimum:
     minimizer: Spectrum | None
 
 
-def _minimize_rate_convex(reference: Sequence[float], normal: np.ndarray, offset: float) -> np.ndarray | None:
-    """Minimize the rate over the ordered simplex cut by normal . s >= offset, starting from r."""
-    from scipy import optimize
-
-    rv = np.asarray(reference, dtype=float)
-    d = len(rv)
-    support = rv > 0.0
-    floor = 1e-15
-
-    def objective(x: np.ndarray):
-        xs = np.clip(x, floor, 1.0)
-        val = float(np.sum(np.where(support, xs * (np.log(xs) - np.log(np.where(support, rv, 1.0))), 0.0)))
-        grad = np.where(support, np.log(xs) - np.log(np.where(support, rv, 1.0)) + 1.0, 0.0)
-        return val, grad
-
-    ordering = np.eye(d - 1, d) - np.eye(d - 1, d, 1)  # rows e_j - e_(j+1)
-    constraints = [
-        {"type": "eq", "fun": lambda x: np.sum(x) - 1.0, "jac": lambda x: np.ones(d)},
-        {"type": "ineq", "fun": lambda x: normal @ x - offset, "jac": lambda x: normal},
-    ]
-    if d > 1:
-        constraints.append({"type": "ineq", "fun": lambda x: ordering @ x, "jac": lambda x: ordering})
-    bounds = [(0.0, 1.0) if support[j] else (0.0, 0.0) for j in range(d)]
-    result = optimize.minimize(
-        objective,
-        rv,
-        jac=True,
-        bounds=bounds,
-        constraints=constraints,
-        method="SLSQP",
-        options={"maxiter": 300, "ftol": 1e-14},
-    )
-    x = np.asarray(result.x, dtype=float)
-    violation = max(abs(float(np.sum(x)) - 1.0), offset - float(normal @ x), *(x[1:] - x[:-1]).tolist())
-    return x if np.all(np.isfinite(x)) and violation <= 1e-8 else None
-
-
-def _certify_point(raw: np.ndarray, region: Region):
-    """Turn an approximate minimizer into a verified region member, if possible."""
-    d = len(raw)
-    candidates = [raw]
-    # tiny pushes past the region boundary, for minimizers that sit exactly on it
-    for j in range(d):
-        for sign in (+1.0, -1.0):
-            shifted = raw.copy()
-            shifted[j] += sign * 1e-9
-            shifted = np.clip(shifted, 0.0, None)
-            total = shifted.sum()
-            if total > 0:
-                candidates.append(shifted / total)
-    for candidate in candidates:
-        ordered = np.sort(candidate)[::-1]
-        total = float(ordered.sum())
-        if total <= 0.0:
-            continue
-        try:
-            spectrum = Spectrum(tuple(float(v / total) for v in ordered))
-        except ValueError:
-            continue
-        if region.contains_point(spectrum.values):
-            return spectrum
-    return None
-
-
 def _half_space_pieces(region: BallComplement | HalfSpace, d: int) -> list[tuple[np.ndarray, float]]:
     """Half-spaces a . s >= b whose union is the region (closed, for a ball complement)."""
     if isinstance(region, HalfSpace):
@@ -291,6 +228,64 @@ def _half_space_pieces(region: BallComplement | HalfSpace, d: int) -> list[tuple
         pieces.append((axis, float(center) + float(region.radius)))
         pieces.append((-axis, float(region.radius) - float(center)))
     return pieces
+
+
+def _antitonic(values: np.ndarray) -> np.ndarray:
+    """Least-squares non-increasing fit of ``values``, by pooling adjacent violators."""
+    sums: list[float] = []
+    counts: list[int] = []
+    for total in values.tolist():
+        count = 1
+        while sums and sums[-1] * count < total * counts[-1]:
+            total += sums.pop()
+            count += counts.pop()
+        sums.append(total)
+        counts.append(count)
+    return np.repeat([s / c for s, c in zip(sums, counts)], counts)
+
+
+def _piece_minimizer(region: Region, reference: Spectrum, normal: np.ndarray, offset: float) -> Spectrum | None:
+    """Region member at the rate minimizer over the piece a . s >= b, or None.
+
+    On the support (first k entries) of r, D(s||r) - t a . s is least over
+    the ordered simplex at s(t) = exp(m(t)) / sum exp(m(t)), m(t) the
+    antitonic fit of ln r + t a (Csiszar's I-projection). a . s(t) and
+    D(s(t)||r) grow with t >= 0, so t is 0 when r lies in the piece and is
+    otherwise found by bisection; it is then stepped just past the
+    boundary until the region holds s(t).
+    """
+    d, k = reference.d, reference.support_size()
+    log_r, a = np.log(reference.values[:k]), normal[:k]
+    if np.max(np.cumsum(a) / np.arange(1, k + 1)) < offset:
+        return None  # every vertex (1/j, ..., 1/j, 0, ...) with j <= k falls short
+
+    def point(t: float) -> Spectrum:
+        if t == 0.0:
+            return reference
+        m = _antitonic(log_r + t * a)
+        weights = np.exp(m - m[0])
+        return Spectrum(tuple((weights / weights.sum()).tolist()) + (0.0,) * (d - k))
+
+    def reaches(t: float) -> bool:
+        return math.fsum((a * point(t).values[:k]).tolist()) >= offset
+
+    lo = hi = 0.0
+    if not reaches(0.0):
+        hi = 1.0
+        while not reaches(hi):
+            if hi > 2.0**200:
+                return None  # b is reached only in the limit, at a vertex
+            lo, hi = hi, 2.0 * hi
+        while lo < 0.5 * (lo + hi) < hi:
+            mid = 0.5 * (lo + hi)
+            lo, hi = (lo, mid) if reaches(mid) else (mid, hi)
+    step = hi - lo or 2.0**-60
+    for _ in range(64):
+        candidate = point(hi)
+        if region.contains_point(candidate.values):
+            return candidate
+        hi, step = hi + step, 2.0 * step
+    return None
 
 
 def _toward_reference(region: Region, reference: Spectrum, seed: tuple[float, ...]) -> Spectrum:
@@ -312,16 +307,17 @@ def _toward_reference(region: Region, reference: Spectrum, seed: tuple[float, ..
 def inf_rate_over_region(region: Region, reference: Spectrum) -> RegionInfimum:
     """Minimize the rate over a region; the minimizer is always a region member.
 
-    Ball complements and half-spaces are unions of half-spaces. The rate is
-    convex, so each piece (intersected with the ordered simplex) is solved
-    once by SLSQP from r. A linear function peaks over the ordered simplex
-    at one of its vertices (1/k, ..., 1/k, 0, ..., 0), so the region is
-    empty exactly when it holds none of them; the vertices it holds are
-    candidates too, which keeps a region whose every point has infinite
-    rate from being reported empty. Frame lists are searched directly. Any
-    other region is seeded from the lattice of spacing 1/200 and each of
-    the 8 best seeds is bisected toward r. Raises EmptyRegionError when no
-    member is found.
+    Ball complements and half-spaces are unions of half-spaces. The
+    minimizer over each piece (intersected with the ordered simplex) lies
+    on the exponential tilt path of r and is found exactly, by bisection on
+    the tilt with one antitonic fit per step (``_piece_minimizer``). A
+    linear function peaks over the ordered simplex at one of its vertices
+    (1/k, ..., 1/k, 0, ..., 0), so the region is empty exactly when it
+    holds none of them; the vertices it holds are candidates too, which
+    keeps a region whose every point has infinite rate from being reported
+    empty. Frame lists are searched directly. Any other region is seeded
+    from the lattice of spacing 1/200 and each of the 8 best seeds is
+    bisected toward r. Raises EmptyRegionError when no member is found.
     """
     d = reference.d
 
@@ -343,10 +339,9 @@ def inf_rate_over_region(region: Region, reference: Spectrum) -> RegionInfimum:
         vertices = [(1.0 / k,) * k + (0.0,) * (d - k) for k in range(1, d + 1)]
         candidates = [Spectrum(v) for v in vertices if region.contains_point(v)]
         for piece in _half_space_pieces(region, d):
-            solution = _minimize_rate_convex(reference.values, *piece)
-            certified = None if solution is None else _certify_point(solution, region)
-            if certified is not None:
-                candidates.append(certified)
+            member = _piece_minimizer(region, reference, *piece)
+            if member is not None:
+                candidates.append(member)
     elif region.contains_point(reference.values):
         candidates = [reference]
     else:

@@ -10,7 +10,7 @@ from __future__ import annotations
 import abc
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Iterator, Sequence
@@ -139,10 +139,6 @@ def _require_finite(what: str, values: Sequence[float | Fraction]) -> None:
 class Region(abc.ABC):
     """Measurable subset of the closed ordered simplex."""
 
-    #: True when the interior is dense in the closure, which is the
-    #: regularity needed to compare decay rates against the rate function.
-    small_boundary: bool = False
-
     @abc.abstractmethod
     def contains_point(self, values: Sequence[float]) -> bool:
         """Membership for an arbitrary simplex point given as floats."""
@@ -181,7 +177,6 @@ class BallComplement(Region):
 
     center: tuple[float | Fraction, ...]
     radius: float | Fraction
-    small_boundary: bool = field(default=True, init=False)
 
     def __post_init__(self):
         _require_finite("ball center and radius", (*self.center, self.radius))
@@ -219,7 +214,6 @@ class HalfSpace(Region):
 
     normal: tuple[float, ...]
     offset: float
-    small_boundary: bool = field(default=True, init=False)
 
     def __post_init__(self):
         _require_finite("half-space normal and offset", (*self.normal, self.offset))
@@ -233,7 +227,6 @@ class FrameSet(Region):
     """Explicit list of frames; membership is exact row equality."""
 
     rows_set: frozenset[tuple[int, ...]]
-    small_boundary: bool = field(default=False, init=False)
 
     @classmethod
     def of(cls, frames: Sequence[YoungFrame]) -> "FrameSet":
@@ -249,9 +242,8 @@ class FrameSet(Region):
 class PredicateRegion(Region):
     """Arbitrary membership callable; carries no boundary guarantee."""
 
-    def __init__(self, predicate: Callable[[Sequence[float]], bool], *, small_boundary: bool = False):
+    def __init__(self, predicate: Callable[[Sequence[float]], bool]):
         self._predicate = predicate
-        self.small_boundary = small_boundary
 
     def contains_point(self, values: Sequence[float]) -> bool:
         return bool(self._predicate(values))

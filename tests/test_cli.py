@@ -3,12 +3,16 @@ import hashlib
 import json
 import math
 import os
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
+
+from conftest import subprocess_env
 
 from spectrum_scope import ConvergenceError, Spectrum, YoungFrame, exact_distribution
 from spectrum_scope import cli, ldp
@@ -259,6 +263,31 @@ class TestRateScan:
         dist = exact_distribution(2, 8, Spectrum((0.75, 0.25)))
         expected = 1.0 - dist.prob(YoungFrame((6, 2)))
         assert float(row["region_prob"]) == pytest.approx(expected, abs=1e-12)
+
+    def test_json_records_carry_the_minimizer(self, tmp_path):
+        out = tmp_path / "scan.json"
+        args = ["rate-scan", "--d", 2, "--spectrum", "0.7,0.3", "--format", "json", "--out", out]
+        assert run(args + ["--epsilon", "0.1", "--n-list", "20,40"]) == 0
+        records = json.loads(out.read_text())
+        minimizer = records[0]["target_minimizer"]
+        assert all(record["target_minimizer"] == minimizer for record in records)
+        assert ldp.rate(minimizer, (0.7, 0.3)) == records[0]["target_rate"]
+        assert max(abs(a - b) for a, b in zip(minimizer, (0.7, 0.3))) > 0.1
+        assert run(args + ["--epsilon", "1", "--n-list", "5"]) == 0
+        assert json.loads(out.read_text())[0]["target_minimizer"] is None
+
+    def test_scan_leaves_scipy_optimize_unimported(self, tmp_path):
+        # the rate infimum needs no numerical optimizer, so a fresh scan process never loads one
+        script = (
+            "import sys; from spectrum_scope.cli import main; "
+            "code = main(sys.argv[1:]); assert 'scipy.optimize' not in sys.modules; sys.exit(code)"
+        )
+        args = ["rate-scan", "--d", "4", "--spectrum", "0.4,0.3,0.2,0.1", "--epsilon", "0.1", "--n-list", "10"]
+        proc = subprocess.run(
+            [sys.executable, "-c", script, *args, "--out", str(tmp_path / "scan.csv")],
+            env=subprocess_env(), capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
 
     def test_epsilon_larger_cap_exit(self, tmp_path):
         code = run(["rate-scan", "--d", 2, "--spectrum", "0.7,0.3", "--epsilon", "0.1", "--n-list", "500", "--out", tmp_path / "x.csv"])

@@ -27,6 +27,7 @@ from spectrum_scope import (
     rate,
     rate_scan,
 )
+from spectrum_scope.frames import partition_tuples
 
 
 def binary_rate(s1: float, r1: float) -> float:
@@ -261,7 +262,7 @@ class TestInfRateOverRegion:
 
     def test_predicate_region(self):
         r = Spectrum((0.6, 0.4))
-        region = PredicateRegion(lambda s: s[0] >= 0.75, small_boundary=True)
+        region = PredicateRegion(lambda s: s[0] >= 0.75)
         result = inf_rate_over_region(region, r)
         assert result.value == pytest.approx(binary_rate(0.75, 0.6), abs=1e-4)
 
@@ -280,10 +281,56 @@ class TestInfRateOverRegion:
         )
         result = inf_rate_over_region(region, r)
         # best piece s1 >= 0.4, the other four proportional to r
-        assert result.value == pytest.approx(0.4 * math.log(4 / 3) + 0.6 * math.log(6 / 7), abs=1e-9)
+        assert result.value == pytest.approx(0.4 * math.log(4 / 3) + 0.6 * math.log(6 / 7), abs=1e-12)
         assert contains_point(region, result.minimizer.values)
         # one solve per half-space piece, no lattice search
         assert len(calls) < 1000
+
+    def test_tied_minimizer_four_levels_closed_form(self):
+        # the ordering ties s1 = s2 and s3 = s4 at the minimizer (0.3, 0.3, 0.2, 0.2)
+        region = HalfSpace((-2.0, 2.0, -1.0, 2.0), 0.2)
+        result = inf_rate_over_region(region, Spectrum((0.375, 0.375, 0.125, 0.125)))
+        assert result.value == pytest.approx(0.6 * math.log(0.8) + 0.4 * math.log(1.6), abs=1e-12)
+        assert region.contains_point(result.minimizer.values)
+
+    def test_tied_minimizer_three_levels_closed_form(self):
+        # s3 >= s2 meets the ordering only at s2 = s3: the tilt of (8, 7, 4)/19 pooled on its last two entries
+        region = HalfSpace((0.0, -1.0, 1.0), 0.0)
+        result = inf_rate_over_region(region, Spectrum((8 / 19, 7 / 19, 4 / 19)))
+        assert result.value == pytest.approx(-math.log((8 + 2 * math.sqrt(28)) / 19), abs=1e-12)
+        assert region.contains_point(result.minimizer.values)
+
+    def test_never_above_the_lattice(self):
+        rng = np.random.default_rng(61)
+        for case in range(100):
+            d = 3 + case % 2
+            if case % 5 == 0:
+                r = Spectrum(random_spectrum(rng, d - 1).values + (0.0,))
+            else:
+                r = random_spectrum(rng, d)
+            if case % 2:
+                region = BallComplement(center=r.values, radius=float(rng.choice([0.0, 0.02, 0.1, 0.25])))
+            else:
+                region = HalfSpace(tuple(rng.normal(size=d).round(2).tolist()), round(float(rng.normal(0.0, 0.5)), 2))
+            resolution = 120 if d == 3 else 60
+            lattice = (tuple(v / resolution for v in rows) for rows in partition_tuples(resolution, resolution, d))
+            rates = [rate(point, r) for point in lattice if region.contains_point(point)]
+            try:
+                result = inf_rate_over_region(region, r)
+            except EmptyRegionError:
+                assert rates == [], (r, region)
+                continue
+            assert result.value <= min(rates, default=math.inf) + 1e-12, (r, region)
+            assert region.contains_point(result.minimizer.values)
+
+    def test_zero_radius_ball_is_zero(self):
+        rng = np.random.default_rng(67)
+        for d in (2, 3, 4, 5) * 10:
+            r = random_spectrum(rng, d)
+            region = BallComplement(center=r.values, radius=0.0)
+            result = inf_rate_over_region(region, r)
+            assert 0.0 <= result.value <= 1e-12
+            assert region.contains_point(result.minimizer.values)
 
     def test_region_of_infinite_rate_is_not_empty(self):
         # s3 >= 0.1 meets the ordered simplex, but only where r = 0
@@ -306,7 +353,7 @@ def binary_entropy(p: float) -> float:
 class TestRateScan:
     def test_whole_simplex_has_zero_decay(self):
         r = Spectrum((0.6, 0.4))
-        region = PredicateRegion(lambda s: True, small_boundary=True)
+        region = PredicateRegion(lambda s: True)
         profile = rate_scan(2, r, region, [5, 10])
         for point in profile.points:
             assert point.decay == pytest.approx(0.0, abs=1e-10)

@@ -152,7 +152,7 @@ class TestExactDistribution:
 class TestRegions:
     def test_whole_simplex(self):
         dist = exact_distribution(2, 6, Spectrum((0.7, 0.3)))
-        everything = PredicateRegion(lambda s: True, small_boundary=True)
+        everything = PredicateRegion(lambda s: True)
         assert region_probability(dist, everything) == pytest.approx(1.0, abs=1e-12)
 
     def test_half_space_two_copies(self):
