@@ -12,7 +12,6 @@ __version__ = "0.1.0"
 
 from .errors import (
     ConvergenceError,
-    DegenerateSpectrumError,
     EmptyRegionError,
     ResourceLimitError,
 )
@@ -25,7 +24,6 @@ from .frames import (
     enumerate_frames,
     frame_count,
     frame_to_estimate,
-    frame_to_exact_estimate,
     log_dim_symmetric_irrep,
     log_dim_unitary_irrep,
 )
@@ -38,7 +36,6 @@ from .schur import (
     character_bounds_check,
     character_from_weights,
     schur_log,
-    schur_log_bialternant,
     sn_character,
     weight_multiplicities,
 )
@@ -83,7 +80,6 @@ from .rsk import (
 __all__ = [
     "__version__",
     "ConvergenceError",
-    "DegenerateSpectrumError",
     "EmptyRegionError",
     "ResourceLimitError",
     "Spectrum",
@@ -94,7 +90,6 @@ __all__ = [
     "enumerate_frames",
     "frame_count",
     "frame_to_estimate",
-    "frame_to_exact_estimate",
     "log_dim_symmetric_irrep",
     "log_dim_unitary_irrep",
     "CharacterBounds",
@@ -105,7 +100,6 @@ __all__ = [
     "character_bounds_check",
     "character_from_weights",
     "schur_log",
-    "schur_log_bialternant",
     "sn_character",
     "weight_multiplicities",
     "BallComplement",

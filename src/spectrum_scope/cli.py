@@ -82,6 +82,20 @@ def _csv_text(header: Sequence[str], rows: Sequence[Sequence]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _dist_csv_text(header: Sequence[str], dist) -> str:
+    """``_csv_text`` of a law's rows Y, Y/N, P, ln P; Y_j and Y_j/N (N+1 values each) are formatted once."""
+    n = dist.boxes
+    counts = [str(v) for v in range(n + 1)]
+    estimates = [_format_number(v / n if n else 0.0) for v in range(n + 1)]
+    lines = [",".join(header)]
+    for frame_rows, lp in zip(dist.rows.tolist(), dist.log_probs.tolist()):
+        lines.append(
+            ",".join([counts[v] for v in frame_rows] + [estimates[v] for v in frame_rows])
+            + f",{math.exp(lp):.17g},{lp:.17g}"
+        )
+    return "\n".join(lines) + "\n"
+
+
 def _json_records_text(header: Sequence[str], rows: Sequence[Sequence]) -> str:
     records = [dict(zip(header, row)) for row in rows]
     return _render_json(records) + "\n"
@@ -168,15 +182,18 @@ def _cmd_dist(args: argparse.Namespace, argv: list[str]) -> int:
         + ["prob", "log_prob"]
     )
     n = dist.boxes
-    rows = [
-        frame_rows + ([v / n for v in frame_rows] if n else [0.0] * args.d) + [math.exp(lp), lp]
-        for frame_rows, lp in zip(dist.rows.tolist(), dist.log_probs.tolist())
-    ]
-    text = _csv_text(header, rows) if args.format == "csv" else _json_records_text(header, rows)
+    if args.format == "csv":
+        text = _dist_csv_text(header, dist)
+    else:
+        rows = [
+            frame_rows + ([v / n for v in frame_rows] if n else [0.0] * args.d) + [math.exp(lp), lp]
+            for frame_rows, lp in zip(dist.rows.tolist(), dist.log_probs.tolist())
+        ]
+        text = _json_records_text(header, rows)
     data = _write_text(args.out, text)
     _write_manifest("dist", args, argv, data)
     mode = distribution_mode(dist)
-    summary = f"dist: d={args.d} N={args.n} frames={len(rows)} mode={mode}"
+    summary = f"dist: d={args.d} N={args.n} frames={len(dist.log_probs)} mode={mode}"
     if n:
         estimate = ",".join(_format_number(v) for v in frame_to_estimate(mode))
         summary += f" mode_estimate=({estimate})"

@@ -5,10 +5,6 @@ class ResourceLimitError(RuntimeError):
     """An operation was asked to run beyond its documented size caps."""
 
 
-class DegenerateSpectrumError(ValueError):
-    """A determinant-based evaluator refused a near-degenerate spectrum."""
-
-
 class ConvergenceError(RuntimeError):
     """An iterative optimizer ran out of budget; carries the last iterate."""
 

@@ -10,7 +10,6 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -214,11 +213,3 @@ def frame_to_estimate(frame: YoungFrame) -> Spectrum:
     if n == 0:
         raise ValueError("cannot normalize an empty frame")
     return Spectrum(tuple(value / n for value in frame.rows))
-
-
-def frame_to_exact_estimate(frame: YoungFrame) -> tuple[Fraction, ...]:
-    """Y/N with exact rational entries, for boundary-safe comparisons."""
-    n = frame.boxes
-    if n == 0:
-        raise ValueError("cannot normalize an empty frame")
-    return tuple(Fraction(value, n) for value in frame.rows)

@@ -264,6 +264,8 @@ def _piece_minimizer(region: Region, reference: Spectrum, normal: np.ndarray, of
             return reference
         m = _antitonic(log_r + t * a)
         weights = np.exp(m - m[0])
+        total = weights.sum()
+        weights[total + weights == total] = 0.0  # kept, an entry the sum cannot see puts s past 1
         return Spectrum(tuple((weights / weights.sum()).tolist()) + (0.0,) * (d - k))
 
     def reaches(t: float) -> bool:

@@ -1,11 +1,11 @@
 """Stable evaluation of Schur polynomials, weights, and character bounds.
 
-The primary evaluator runs the branching recursion over interlacing
-sub-shapes, peeling one eigenvalue at a time, by one code path for any
-number of rows. Every summand is positive, so the result is accurate to
-rounding even for degenerate spectra. A determinant-based evaluator is kept
-purely as a cross-check for well-separated spectra, and tiny instances can
-be validated against symmetric-group characters via cycle-type sums.
+The evaluator runs the branching recursion over interlacing sub-shapes,
+peeling one eigenvalue at a time, by one code path for any number of rows,
+in float64 values normalised by the highest weight. Every summand is
+positive, so the result is accurate to rounding even for degenerate
+spectra. Tiny instances can be validated against symmetric-group
+characters via cycle-type sums.
 """
 from __future__ import annotations
 
@@ -17,7 +17,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import DegenerateSpectrumError, ResourceLimitError
+from .errors import ResourceLimitError
 from .frames import (
     YoungFrame,
     Spectrum,
@@ -30,6 +30,8 @@ from .logspace import NEG_INF, log_sum_exp
 KOSTKA_MAX_BOXES = 12
 KOSTKA_MAX_ROWS = 4
 CYCLE_SUM_MAX_BOXES = 8
+#: Largest log-span of one block of ``_branch``: scale factors stay within e^(+-40).
+BLOCK_LOG_SPAN = 40.0
 #: Cap on the top cube of a SchurTable plus its largest crop, 16 * prod of the
 #: staircase sides, checked before allocation.
 MAX_TABLE_BYTES = 2**29
@@ -76,36 +78,59 @@ def weighted_dot(weight: Sequence[int], log_values: Sequence[float]) -> float:
     return total
 
 
-def _branch(cube: np.ndarray, low: Sequence[int]) -> None:
+def _branch(cube: np.ndarray, low: Sequence[int], ratios: Sequence[float]) -> None:
     """One step of the branching rule, in place, on a cube whose axis a holds rows low[a], low[a]+1, ...
 
     The cube enters indexed by (mu_0, ..., mu_(m-2), Y_(m-1)) and leaves indexed
     by Y: for each axis a, from the last but one to the first, the terms with
-    mu_a < Y_(a+1) are dropped, then a prefix log-sum sums mu_a over [Y_(a+1), Y_a].
+    mu_a < Y_(a+1) are set to 0, then S_i = q S_(i-1) + x_i, q = ratios[a] <= 1,
+    sums mu_a over [Y_(a+1), Y_a] with weights q^(Y_a - mu_a). q == 1 is one
+    cumsum. Otherwise the axis is cut at the multiples of a width whose
+    log-span width * ln(1/q) is at most BLOCK_LOG_SPAN; each block is scaled
+    up by q^-phase, summed by cumsum, scaled back by q^phase, and starts from
+    q times the last sum before it. Blocks follow the row, not the crop, and
+    leading zeros add exactly 0, so a sum does not depend, to the bit, on
+    where the crop starts.
     """
     for a in range(cube.ndim - 2, -1, -1):
         here, after = (np.arange(n) + lo for n, lo in zip(cube.shape[a : a + 2], low[a : a + 2]))
         below = np.less.outer(here, after)
-        np.copyto(cube, NEG_INF, where=below.reshape(below.shape + (1,) * (cube.ndim - a - 2)))
-        np.logaddexp.accumulate(cube, axis=a, out=cube)
+        np.copyto(cube, 0.0, where=below.reshape(below.shape + (1,) * (cube.ndim - a - 2)))
+        q, view = ratios[a], np.moveaxis(cube, a, 0)
+        if q == 1.0:
+            np.cumsum(view, axis=0, out=view)
+            continue
+        phase = here % max(1, int(BLOCK_LOG_SPAN / -math.log(q)))
+        column = (-1,) + (1,) * (view.ndim - 1)
+        span = range(phase.max() + 1)
+        view *= np.array([q**-p for p in span])[phase].reshape(column)
+        down = np.array([q**p for p in span])[phase].reshape(column)
+        cuts = [0, *(np.flatnonzero(phase[1:] == 0) + 1).tolist(), len(view)]
+        for b, e in zip(cuts, cuts[1:]):
+            if b:
+                view[b] += q * view[b - 1]
+            np.cumsum(view[b:e], axis=0, out=view[b:e])
+            view[b:e] *= down[b:e]
 
 
 class SchurTable:
-    """Log Schur values for one spectrum, for any shape up to a box budget.
+    """Schur values for one spectrum, for any shape up to a box budget.
 
-    With k positive eigenvalues, level j = 1..k-1 is one float64 cube holding
-    ``ln s_Y(r_1..r_j) - |Y| ln r_(j+1)`` at ``cube[Y_1, ..., Y_j]``, -inf off
-    partitions. Row a (0-based) of a shape with at most N boxes is at most
-    N//(a+1), so axis a has side N//(a+1) + 1, and rows past the N-th are 0,
-    so only min(j, N) axes are kept. In that normalisation the branching rule
-    s_Y(r_1..r_j) = sum over interlacing mu of s_mu(r_1..r_(j-1)) r_j^(|Y|-|mu|)
-    needs no weights: level j is a plain log-sum of level j-1 over the box
-    Y_(a+1) <= mu_a <= Y_a, built by ``_branch``, and every summand is
-    positive (Demmel & Koev, Math. Comp. 75 (2006)). Only the top cube is
-    kept. The top level runs ``_branch`` once per value of the last row, on a
-    crop of the top cube; the cube and its largest crop, 16 bytes per cell,
-    are checked against ``MAX_TABLE_BYTES`` first. The table is read-only
-    once built, so it may be shared freely.
+    With k positive eigenvalues r_1 >= ... >= r_k, level j = 1..k-1 is one
+    float64 cube holding ``L_j(Y) = s_Y(r_1..r_j) / prod_a r_a^(Y_a)`` at
+    ``cube[Y_1, ..., Y_j]``, 0 off partitions. The highest-weight sandwich
+    r^Y <= s_Y(r) <= dim V_Y r^Y puts L_j between 1 and dim V_Y (about 1e45 at
+    the table cap), so plain float64 holds it. Row a (0-based) of a shape with
+    at most N boxes is at most N//(a+1), so axis a has side N//(a+1) + 1, and
+    rows past the N-th are 0, so only min(j, N) axes are kept. The branching
+    rule s_Y(r_1..r_j) = sum over interlacing mu of s_mu(r_1..r_(j-1))
+    r_j^(|Y|-|mu|) becomes L_j(Y) = sum of L_(j-1)(mu) prod_a q_a^(Y_a - mu_a)
+    over the box Y_(a+1) <= mu_a <= Y_a, with q_a = r_j / r_a <= 1, built by
+    ``_branch``; every summand is positive (Demmel & Koev, Math. Comp. 75
+    (2006)). Only the top cube is kept. The top level runs ``_branch`` once
+    per value of the last row, on a crop of the top cube; the cube and its
+    largest crop, 16 bytes per cell, are checked against ``MAX_TABLE_BYTES``
+    first. The table is read-only once built, so it may be shared freely.
     """
 
     def __init__(self, spectrum: Spectrum, max_boxes: int):
@@ -113,8 +138,8 @@ class SchurTable:
             raise ValueError("max_boxes must be non-negative")
         self.spectrum = spectrum
         self.max_boxes = max_boxes
-        self._log_r = [math.log(v) for v in spectrum.values if v > 0.0]
-        self._k = len(self._log_r)
+        self._r = [v for v in spectrum.values if v > 0.0]
+        self._k = len(self._r)
         needed = 16 * math.prod(max_boxes // (a + 1) + 1 for a in range(min(self._k - 1, max_boxes)))
         if needed > MAX_TABLE_BYTES:
             raise ResourceLimitError(
@@ -124,17 +149,14 @@ class SchurTable:
         self._cube = self._build()
 
     def _build(self) -> np.ndarray:
-        lr = self._log_r
-        cube = np.zeros(())
+        r = self._r
+        cube = np.ones(())
         for j in range(1, self._k):
             side = self.max_boxes // j + 1
-            previous, cube = cube, np.empty(cube.shape + (side,))
-            cube[...] = previous[..., None]
-            _branch(cube, (0,) * cube.ndim)
+            cube = np.repeat(cube[..., None], side, axis=-1)
+            _branch(cube, (0,) * cube.ndim, [r[j - 1] / v for v in r[: cube.ndim - 1]])
             if side == 1:
                 cube = cube[..., 0]  # row j-1 >= N is 0: keep no axis for it
-            for a, n in enumerate(cube.shape):
-                cube += (np.arange(n) * (lr[j - 1] - lr[j])).reshape((n,) + (1,) * (cube.ndim - 1 - a))
         return cube
 
     def log_value(self, rows: Sequence[int]) -> float:
@@ -152,23 +174,29 @@ class SchurTable:
 
         Shapes are batched by Y_m, the first row the top cube does not index;
         a batch branches the crop [min Y_(a+1), max Y_a] on each axis a. Terms
-        below Y_(a+1) are masked and logaddexp(-inf, x) == x, so a value does
-        not depend, to the bit, on the rest of its batch.
+        below Y_(a+1) are masked to 0 and the prefix sums follow absolute
+        rows, so a value does not depend, to the bit, on the rest of its
+        batch. The only log is taken here: ln s_Y = ln L_k(Y) + sum_a Y_a ln r_a,
+        summed column by column.
         """
         rows, k, m = np.asarray(rows, dtype=np.int64), self._k, self._cube.ndim
         boxes = rows.sum(axis=1)
         if boxes.max(initial=0) > self.max_boxes:
             raise ValueError(f"a shape has {boxes.max()} boxes, the table allows {self.max_boxes}")
-        out = np.full(len(rows), NEG_INF)
+        top = np.ones(len(rows))
         live = ~rows[:, k:].any(axis=1)  # more nonzero rows than eigenvalues: exactly 0
+        ratios = [self._r[-1] / v for v in self._r[:m]]
         for y in np.flatnonzero(np.bincount(rows[live, m])):
             pick = np.flatnonzero(live & (rows[:, m] == y))
             shapes = rows[pick, : m + 1]
             low, high = shapes[:, 1:].min(axis=0), shapes[:, :m].max(axis=0)
             crop = self._cube[tuple(map(slice, low, high + 1)) + (None,)].copy()
-            _branch(crop, (*low, y))
-            out[pick] = boxes[pick] * self._log_r[-1] + crop[(*(shapes[:, :m] - low).T, 0)]
-        return out
+            _branch(crop, (*low, y), ratios)
+            top[pick] = crop[(*(shapes[:, :m] - low).T, 0)]
+        highest = np.zeros(len(rows))
+        for a, v in enumerate(self._r):  # not rows @ log r, whose order may vary with the batch
+            highest += rows[:, a] * math.log(v)
+        return np.where(live, np.log(top) + highest, NEG_INF)
 
 
 def schur_log(frame: YoungFrame, spectrum: Spectrum, *, table: SchurTable | None = None) -> float:
@@ -178,36 +206,6 @@ def schur_log(frame: YoungFrame, spectrum: Spectrum, *, table: SchurTable | None
     elif table.spectrum != spectrum:
         raise ValueError("table was built for a different spectrum")
     return table.log_value(frame.rows)
-
-
-def schur_log_bialternant(
-    frame: YoungFrame, spectrum: Spectrum, *, min_gap: float = 1e-9
-) -> float:
-    """Ratio-of-determinants evaluation, usable only for well-separated spectra.
-
-    Cross-check evaluator: refuses spectra with near-equal or zero entries,
-    where the alternating sums cancel catastrophically.
-    """
-    x = np.asarray(spectrum.values, dtype=float)
-    d = len(x)
-    if frame.d != d:
-        raise ValueError("frame and spectrum dimensions differ")
-    if x[-1] <= 0.0:
-        raise DegenerateSpectrumError("bialternant form needs strictly positive eigenvalues")
-    gaps = x[:-1] - x[1:]
-    if gaps.size and gaps.min() <= min_gap:
-        raise DegenerateSpectrumError(
-            f"eigenvalue gap {gaps.min():.3e} below {min_gap:.0e}; use the branching evaluator"
-        )
-    exponents = np.array([frame.rows[j] + d - 1 - j for j in range(d)], dtype=float)
-    log_x = np.log(x)
-    powers = np.outer(log_x, exponents)
-    shift = powers.max(axis=0)
-    sign, log_det = np.linalg.slogdet(np.exp(powers - shift[None, :]))
-    if sign <= 0:
-        raise DegenerateSpectrumError("numerator determinant lost its sign to cancellation")
-    log_vandermonde = float(sum(math.log(x[i] - x[j]) for i in range(d) for j in range(i + 1, d)))
-    return float(log_det + shift.sum() - log_vandermonde)
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,12 @@ import math
 from collections import Counter
 from fractions import Fraction
 
+import numpy as np
+
+
+class DegenerateSpectrumError(ValueError):
+    """The determinant-based evaluator refused a near-degenerate spectrum."""
+
 
 def count_partitions(n: int, max_parts: int) -> int:
     """Partitions of n into at most max_parts parts, by largest-part recursion."""
@@ -31,6 +37,14 @@ def count_partitions(n: int, max_parts: int) -> int:
         return memo[key]
 
     return rec(n, n, max_parts)
+
+
+def frame_to_exact_estimate(frame) -> tuple[Fraction, ...]:
+    """Y/N with exact rational entries, for boundary-safe comparisons."""
+    n = frame.boxes
+    if n == 0:
+        raise ValueError("cannot normalize an empty frame")
+    return tuple(Fraction(value, n) for value in frame.rows)
 
 
 def standard_tableaux_count(shape) -> int:
@@ -162,6 +176,34 @@ def schur_log_jacobi_trudi(shape, numerators, denominator: int) -> float:
     if det == 0:
         return -math.inf
     return math.log(det) - sum(rows) * math.log(denominator)
+
+
+def schur_log_bialternant(frame, spectrum, *, min_gap: float = 1e-9) -> float:
+    """ln s_Y(r) as a ratio of determinants, usable only for well-separated spectra.
+
+    Refuses spectra with near-equal or zero entries, where the alternating
+    sums cancel catastrophically.
+    """
+    x = np.asarray(spectrum.values, dtype=float)
+    d = len(x)
+    if frame.d != d:
+        raise ValueError("frame and spectrum dimensions differ")
+    if x[-1] <= 0.0:
+        raise DegenerateSpectrumError("bialternant form needs strictly positive eigenvalues")
+    gaps = x[:-1] - x[1:]
+    if gaps.size and gaps.min() <= min_gap:
+        raise DegenerateSpectrumError(
+            f"eigenvalue gap {gaps.min():.3e} below {min_gap:.0e}; use the branching evaluator"
+        )
+    exponents = np.array([frame.rows[j] + d - 1 - j for j in range(d)], dtype=float)
+    log_x = np.log(x)
+    powers = np.outer(log_x, exponents)
+    shift = powers.max(axis=0)
+    sign, log_det = np.linalg.slogdet(np.exp(powers - shift[None, :]))
+    if sign <= 0:
+        raise DegenerateSpectrumError("numerator determinant lost its sign to cancellation")
+    log_vandermonde = float(sum(math.log(x[i] - x[j]) for i in range(d) for j in range(i + 1, d)))
+    return float(log_det + shift.sum() - log_vandermonde)
 
 
 def rsk_shape(word) -> tuple[int, ...]:

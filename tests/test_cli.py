@@ -66,6 +66,18 @@ class TestDist:
             assert float(row["log_prob"]) == lp
             assert float(row["prob"]) == math.exp(lp)
 
+    @pytest.mark.parametrize("d, n, values", [(4, 30, (0.4, 0.3, 0.2, 0.1)), (3, 0, (0.5, 0.3, 0.2)), (3, 12, (0.5, 0.5, 0.0))])
+    def test_csv_bytes_are_the_generic_writer_of_the_law(self, tmp_path, d, n, values):
+        out = tmp_path / "dist.csv"
+        assert run(["dist", "--d", d, "--n", n, "--spectrum", ",".join(map(str, values)), "--out", out]) == 0
+        dist = exact_distribution(d, n, Spectrum(values))
+        header = [f"Y{j + 1}" for j in range(d)] + [f"est{j + 1}" for j in range(d)] + ["prob", "log_prob"]
+        rows = [
+            r + [v / n if n else 0.0 for v in r] + [math.exp(lp), lp]
+            for r, lp in zip(dist.rows.tolist(), dist.log_probs.tolist())
+        ]
+        assert out.read_bytes() == cli._csv_text(header, rows).encode()
+
     def test_rejects_bad_sum(self, tmp_path):
         # the second sums to 1 but holds a negative eigenvalue
         for spectrum in ("0.7,0.4", "1.5,-0.5"):

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from conftest import partition_rows
 from oracles import (
     count_partitions,
+    frame_to_exact_estimate,
     hook_length_count,
     ssyt_contents,
     standard_tableaux_count,
@@ -22,7 +23,6 @@ from spectrum_scope import (
     enumerate_frames,
     frame_count,
     frame_to_estimate,
-    frame_to_exact_estimate,
     log_dim_symmetric_irrep,
     log_dim_unitary_irrep,
 )

@@ -300,6 +300,23 @@ class TestInfRateOverRegion:
         assert result.value == pytest.approx(-math.log((8 + 2 * math.sqrt(28)) / 19), abs=1e-12)
         assert region.contains_point(result.minimizer.values)
 
+    @pytest.mark.parametrize(
+        "normal, offset, values, expected",
+        [
+            ((1.0, 0.0), 1.0, (0.5, 0.5), math.log(2)),
+            ((1.0, 1.0, 0.0), 1.0, (0.4, 0.4, 0.2), -math.log(0.8)),
+            ((1.0, 0.0, 0.0), 1.0, (0.6, 0.3, 0.1), -math.log(0.6)),
+        ],
+        ids=["d2", "d3-two-rows", "d3-one-row"],
+    )
+    def test_piece_reached_only_at_its_vertex(self, normal, offset, values, expected):
+        # a . s >= b holds on the ordered simplex only at a vertex, the limit of the tilt path
+        region = HalfSpace(normal, offset)
+        result = inf_rate_over_region(region, Spectrum(values))
+        assert result.value >= expected
+        assert result.value == pytest.approx(expected, abs=1e-15)
+        assert math.fsum(result.minimizer.values) == 1.0
+
     def test_never_above_the_lattice(self):
         rng = np.random.default_rng(61)
         for case in range(100):

@@ -6,11 +6,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import random_spectrum, spectra
-from oracles import kostka_table, schur_by_monomials, schur_log_jacobi_trudi
+from oracles import (
+    DegenerateSpectrumError,
+    kostka_table,
+    schur_by_monomials,
+    schur_log_bialternant,
+    schur_log_jacobi_trudi,
+)
 
 from spectrum_scope import schur
 from spectrum_scope import (
-    DegenerateSpectrumError,
     DiagonalState,
     ResourceLimitError,
     SchurTable,
@@ -22,12 +27,18 @@ from spectrum_scope import (
     dim_symmetric_irrep,
     dim_unitary_irrep,
     enumerate_frames,
+    frame_count,
+    log_dim_unitary_irrep,
     schur_log,
-    schur_log_bialternant,
     sn_character,
     weight_multiplicities,
 )
+from spectrum_scope.frames import partition_tuples
 from spectrum_scope.logspace import NEG_INF
+
+
+def all_rows(d, boxes):
+    return np.fromiter(partition_tuples(boxes, boxes, d), np.dtype((np.int64, d)), frame_count(d, boxes))
 
 
 class TestSchurLog:
@@ -90,6 +101,32 @@ class TestSchurLog:
                 assert got == NEG_INF
             else:
                 assert abs(got - expected) <= 1e-9
+
+    def test_wide_spectrum_matches_exact_jacobi_trudi(self):
+        # q = r_4 / r_a down to 1/70: the top level sums in blocks of 9 to 18 rows
+        numerators = (70, 20, 9, 1)
+        table = SchurTable(Spectrum(tuple(a / 100 for a in numerators)), 200)
+        rows = all_rows(4, 200)[np.random.default_rng(43).choice(frame_count(4, 200), 40, replace=False)]
+        for shape, got in zip(rows.tolist(), table.log_values(rows)):
+            assert abs(got - schur_log_jacobi_trudi(shape, numerators, 100)) <= 1e-9
+
+    @pytest.mark.parametrize(
+        "values, boxes",
+        [((0.7, 0.2, 0.09, 0.01), 60), ((0.6, 0.3, 0.1), 120), ((0.4, 0.3, 0.2, 0.1, 0.0), 30)],
+    )
+    def test_batch_does_not_move_a_bit(self, values, boxes):
+        table = SchurTable(Spectrum(values), boxes)
+        rows = all_rows(len(values), boxes)
+        pick = np.random.default_rng(47).permutation(len(rows))[: len(rows) // 7]
+        full, part = table.log_values(rows)[pick], table.log_values(rows[pick])
+        assert full.tobytes() == part.tobytes()
+
+    def test_uniform_spectrum_at_the_table_cap(self):
+        # tied eigenvalues take the plain-cumsum path; s_Y(1/d, ..., 1/d) = dim V_Y / d^N
+        table = SchurTable(Spectrum((1 / 8,) * 8), 37)
+        rows = all_rows(8, 37)
+        for shape, got in zip(rows.tolist(), table.log_values(rows)):
+            assert abs(got - (log_dim_unitary_irrep(YoungFrame(tuple(shape)), 8) - 37 * math.log(8))) <= 1e-9
 
     def test_table_cap_checked_before_allocating(self, monkeypatch):
         spectrum = Spectrum((0.4, 0.3, 0.2, 0.1))
@@ -310,6 +347,13 @@ class TestCharacterBounds:
                 for n in range(1, 21):
                     for frame in enumerate_frames(d, n):
                         assert character_bounds_check(frame, state).holds
+
+    def test_one_tiny_eigenvalue(self):
+        # q = 2e-300: every block of the weighted prefix sum is one row wide
+        state = DiagonalState.from_spectrum(Spectrum((0.5, 0.5 - 1e-300, 1e-300)))
+        for n in range(1, 31):
+            for frame in enumerate_frames(3, n):
+                assert character_bounds_check(frame, state).holds
 
 
 class TestSymmetricGroupCharacters:
