@@ -23,6 +23,7 @@ from .frames import (
     dim_unitary_irrep,
     enumerate_frames,
     frame_count,
+    frame_rows,
     frame_to_estimate,
     log_dim_symmetric_irrep,
     log_dim_unitary_irrep,
@@ -67,13 +68,10 @@ from .ldp import (
     rate_scan,
 )
 from .rsk import (
-    CompactTableau,
     EmpiricalDistribution,
     FitReport,
     SamplerConfig,
     empirical_distribution,
-    insert_letter,
-    sample_frame,
     sample_frame_counts,
 )
 
@@ -89,6 +87,7 @@ __all__ = [
     "dim_unitary_irrep",
     "enumerate_frames",
     "frame_count",
+    "frame_rows",
     "frame_to_estimate",
     "log_dim_symmetric_irrep",
     "log_dim_unitary_irrep",
@@ -125,12 +124,9 @@ __all__ = [
     "legendre_of_cgf",
     "rate",
     "rate_scan",
-    "CompactTableau",
     "EmpiricalDistribution",
     "FitReport",
     "SamplerConfig",
     "empirical_distribution",
-    "insert_letter",
-    "sample_frame",
     "sample_frame_counts",
 ]

@@ -83,17 +83,16 @@ def _csv_text(header: Sequence[str], rows: Sequence[Sequence]) -> str:
 
 
 def _dist_csv_text(header: Sequence[str], dist) -> str:
-    """``_csv_text`` of a law's rows Y, Y/N, P, ln P; Y_j and Y_j/N (N+1 values each) are formatted once."""
+    """``_csv_text`` of a law's rows Y, Y/N, P, ln P, built column by column;
+    Y_j and Y_j/N (N+1 values each) are formatted once."""
     n = dist.boxes
     counts = [str(v) for v in range(n + 1)]
     estimates = [_format_number(v / n if n else 0.0) for v in range(n + 1)]
-    lines = [",".join(header)]
-    for frame_rows, lp in zip(dist.rows.tolist(), dist.log_probs.tolist()):
-        lines.append(
-            ",".join([counts[v] for v in frame_rows] + [estimates[v] for v in frame_rows])
-            + f",{math.exp(lp):.17g},{lp:.17g}"
-        )
-    return "\n".join(lines) + "\n"
+    columns = [column.tolist() for column in dist.rows.T]
+    cells = [map(counts.__getitem__, c) for c in columns] + [map(estimates.__getitem__, c) for c in columns]
+    log_probs = dist.log_probs.tolist()
+    lines = map("{},{:.17g},{:.17g}\n".format, map(",".join, zip(*cells)), map(math.exp, log_probs), log_probs)
+    return ",".join(header) + "\n" + "".join(lines)
 
 
 def _json_records_text(header: Sequence[str], rows: Sequence[Sequence]) -> str:

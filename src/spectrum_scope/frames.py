@@ -10,9 +10,12 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
+
+# frames per block of exact Frobenius integers in ``log_frobenius_dims``
+_CHUNK_ROWS = 2**10
 
 
 @dataclass(frozen=True, order=True)
@@ -91,27 +94,67 @@ class Spectrum:
 
 def enumerate_frames(d: int, boxes: int) -> Iterator[YoungFrame]:
     """Yield every frame with ``d`` rows and ``boxes`` boxes, lexicographically decreasing."""
+    for rows in frame_rows(d, boxes).tolist():
+        yield YoungFrame(tuple(rows))
+
+
+def frame_rows(d: int, boxes: int) -> np.ndarray:
+    """Every frame with ``d`` rows and ``boxes`` boxes as int64 rows (F, d), lexicographically decreasing.
+
+    Built as a tree, one column per level: each node with ``left`` boxes
+    still to place in ``slots`` rows, after a part ``cap``, has one child per
+    allowed next part, ``min(left, cap)`` down to ``ceil(left / slots)``.
+    The last nonzero row takes what is left, and only the first min(d, N)
+    rows can be nonzero; the rest stay zero. The last level has one node per
+    frame and is written straight into the output; each earlier column is
+    then written as one run of its node's part per node.
+    """
     if d < 1:
         raise ValueError(f"need at least one row, got d={d}")
     if boxes < 0:
         raise ValueError(f"box count must be non-negative, got {boxes}")
-    for rows in partition_tuples(boxes, boxes, d):
-        yield YoungFrame(rows)
+    width = min(d, boxes)
+    if width < 2:
+        rows = np.zeros((1, d), dtype=np.int64)
+        rows[:, :width] = boxes
+        return rows
+    # every part and remainder lies in 0..N, and every jump between runs in -N..N
+    small = np.promote_types(np.min_scalar_type(boxes), np.int8)
+    levels = []  # (parts, children per parent node) of columns 0 .. width - 3
+    left = np.array([boxes], dtype=small)
+    cap = left
+    for slots in range(width, 1, -1):
+        high = np.minimum(left, cap)
+        counts = (high + 1 + (-left // slots)).astype(np.int64)
+        if slots == 2:
+            break
+        # each node's parts run down from ``high``, and what is left up from ``left - high``
+        parts = _fill_runs(np.empty(counts.sum(), dtype=small), high, counts, -1)
+        left = _fill_runs(np.empty(len(parts), dtype=small), left - high, counts, 1)
+        levels.append((parts, counts))
+        cap = parts
+    rows = np.zeros((counts.sum(), d), dtype=np.int64)
+    _fill_runs(rows[:, width - 2], high, counts, -1)
+    _fill_runs(rows[:, width - 1], left - high, counts, 1)
+    below = counts  # rows under each node of the column being written
+    for column in range(width - 3, -1, -1):
+        parts, counts = levels[column]
+        _fill_runs(rows[:, column], parts, below, 0)
+        below = np.add.reduceat(below, np.cumsum(counts) - counts)
+    return rows
 
 
-def partition_tuples(n: int, max_part: int, slots: int) -> Iterator[tuple[int, ...]]:
-    """Partitions of n into ``slots`` parts <= max_part, zeros kept, lexicographically decreasing."""
-    if slots == 0:
-        if n == 0:
-            yield ()
-        return
-    if n == 0:
-        yield (0,) * slots
-        return
-    lowest = -(-n // slots)  # smallest feasible leading part
-    for part in range(min(n, max_part), lowest - 1, -1):
-        for rest in partition_tuples(n - part, part, slots - 1):
-            yield (part,) + rest
+def _fill_runs(out: np.ndarray, firsts: np.ndarray, lengths: np.ndarray, step: int) -> np.ndarray:
+    """Fill ``out`` in place with consecutive runs of ``lengths``, each from its entry of ``firsts`` in steps of ``step``.
+
+    ``out`` holds the step inside each run and the jump at each run's start,
+    and one cumulative sum turns those into the values.
+    """
+    out.fill(step)
+    starts = np.cumsum(lengths) - lengths
+    out[0] = firsts[0]
+    out[starts[1:]] = firsts[1:] - firsts[:-1] - step * (lengths[:-1] - 1)
+    return np.cumsum(out, out=out)
 
 
 def frame_count(d: int, boxes: int) -> int:
@@ -146,7 +189,7 @@ def _shifted_rows(rows: Sequence[int]) -> tuple[int, ...]:
     return tuple(value + d - 1 - i for i, value in enumerate(rows))
 
 
-def frobenius_dim(rows: Sequence[int], factorial: Callable[[int], int] = math.factorial) -> int:
+def frobenius_dim(rows: Sequence[int]) -> int:
     """Number of standard tableaux of the shape ``rows`` (exact integer arithmetic).
 
     Frobenius: f^Y = N! prod_{i<j}(l_i - l_j) / prod_i l_i!, with
@@ -154,7 +197,7 @@ def frobenius_dim(rows: Sequence[int], factorial: Callable[[int], int] = math.fa
     Appended zero rows leave it unchanged, so pass only the nonzero ones.
     """
     shifted = _shifted_rows(rows)
-    return factorial(sum(rows)) * _vandermonde(shifted) // math.prod(map(factorial, shifted))
+    return math.factorial(sum(rows)) * _vandermonde(shifted) // math.prod(map(math.factorial, shifted))
 
 
 def dim_symmetric_irrep(frame: YoungFrame) -> int:
@@ -166,15 +209,30 @@ def log_dim_symmetric_irrep(frame: YoungFrame) -> float:
     return math.log(dim_symmetric_irrep(frame))
 
 
-def log_frobenius_dims(rows: np.ndarray, boxes: int) -> list[float]:
-    """ln f^Y for each frame of ``rows`` (int, F x d, each row summing to ``boxes``).
+def log_frobenius_dims(rows: np.ndarray, boxes: int) -> np.ndarray:
+    """ln f^Y for each frame of ``rows`` (int, F x d, each row summing to ``boxes``), float64 (F,).
 
-    Exact Frobenius integers over one factorial table shared by all frames.
+    The exact Frobenius integers of ``frobenius_dim``, built column by column
+    as Python-int object arrays over one factorial table, ``_CHUNK_ROWS``
+    frames at a time so the big numerators and denominators stay small.
     """
     # every nonzero row lies in the first min(d, N) columns; l_0 <= N + width - 1
     width = min(rows.shape[1], boxes)
-    factorials = list(itertools.accumulate(range(1, boxes + width), operator.mul, initial=1))
-    return [math.log(frobenius_dim(r, factorials.__getitem__)) for r in rows[:, :width].tolist()]
+    factorials = np.array(
+        list(itertools.accumulate(range(1, boxes + width), operator.mul, initial=1)), dtype=object
+    )
+    shifted = rows[:, :width] + np.arange(width - 1, -1, -1)
+    logs = np.empty(len(rows))
+    for start in range(0, len(rows), _CHUNK_ROWS):
+        chunk = shifted[start : start + _CHUNK_ROWS]
+        numerators = np.full(len(chunk), factorials[boxes], dtype=object)
+        denominators = np.ones(len(chunk), dtype=object)
+        for i in range(width):
+            denominators *= factorials[chunk[:, i]]
+            for j in range(i + 1, width):
+                numerators *= (chunk[:, i] - chunk[:, j]).astype(object)
+        logs[start : start + len(chunk)] = list(map(math.log, numerators // denominators))
+    return logs
 
 
 def dim_unitary_irrep(frame: YoungFrame, d: int | None = None) -> int:

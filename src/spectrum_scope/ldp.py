@@ -7,14 +7,15 @@ finite-N empirical counterparts, and infima over error regions.
 """
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
-from .errors import ConvergenceError, EmptyRegionError
-from .frames import Spectrum, log_frobenius_dims, partition_tuples
+from .errors import ConvergenceError, EmptyRegionError, ResourceLimitError
+from .frames import Spectrum, frame_count, frame_rows, log_frobenius_dims
 from .logspace import NEG_INF, log_sum_exp
 from .measure import (
     BallComplement,
@@ -29,6 +30,11 @@ from .measure import (
 from .schur import SchurTable
 
 _GRID_RESOLUTION = 200
+# predicate regions are seeded from the k/200 lattice: d = 5 has 643,287
+# points, d = 6 has 4,775,383, each one predicate call
+MAX_LATTICE_POINTS = 10**6
+# lattice rows turned into points at a time
+_LATTICE_CHUNK = 2**13
 
 
 def _values(spectrum) -> tuple[float, ...]:
@@ -290,6 +296,13 @@ def _piece_minimizer(region: Region, reference: Spectrum, normal: np.ndarray, of
     return None
 
 
+def _lattice(d: int) -> Iterator[tuple[float, ...]]:
+    """Points k/200 of the closed ordered simplex, lexicographically decreasing."""
+    rows = frame_rows(d, _GRID_RESOLUTION)
+    for start in range(0, len(rows), _LATTICE_CHUNK):
+        yield from map(tuple, (rows[start : start + _LATTICE_CHUNK] / _GRID_RESOLUTION).tolist())
+
+
 def _toward_reference(region: Region, reference: Spectrum, seed: tuple[float, ...]) -> Spectrum:
     """A region member on the segment from r to the member ``seed``, bisected toward r.
 
@@ -319,7 +332,9 @@ def inf_rate_over_region(region: Region, reference: Spectrum) -> RegionInfimum:
     keeps a region whose every point has infinite rate from being reported
     empty. Frame lists are searched directly. Any other region is seeded
     from the lattice of spacing 1/200 and each of the 8 best seeds is
-    bisected toward r. Raises EmptyRegionError when no member is found.
+    bisected toward r; a lattice of more than ``MAX_LATTICE_POINTS`` points
+    raises ResourceLimitError before the region is called. Raises
+    EmptyRegionError when no member is found.
     """
     d = reference.d
 
@@ -344,16 +359,21 @@ def inf_rate_over_region(region: Region, reference: Spectrum) -> RegionInfimum:
             member = _piece_minimizer(region, reference, *piece)
             if member is not None:
                 candidates.append(member)
-    elif region.contains_point(reference.values):
-        candidates = [reference]
     else:
-        # lattice points k/resolution of the closed ordered simplex
-        lattice = (
-            tuple(t / _GRID_RESOLUTION for t in rows)
-            for rows in partition_tuples(_GRID_RESOLUTION, _GRID_RESOLUTION, d)
-        )
-        seeds = sorted(filter(region.contains_point, lattice), key=lambda point: rate(point, reference))
-        candidates = [_toward_reference(region, reference, seed) for seed in seeds[:8]]
+        points = frame_count(d, _GRID_RESOLUTION)
+        if points > MAX_LATTICE_POINTS:
+            raise ResourceLimitError(
+                f"predicate regions are seeded from a lattice capped at {MAX_LATTICE_POINTS} "
+                f"points; d={d} has {points}"
+            )
+        if region.contains_point(reference.values):
+            candidates = [reference]
+        else:
+            # nsmallest keeps lattice order among equal rates, as a stable sort would
+            seeds = heapq.nsmallest(
+                8, filter(region.contains_point, _lattice(d)), key=lambda point: rate(point, reference)
+            )
+            candidates = [_toward_reference(region, reference, seed) for seed in seeds]
 
     if not candidates:
         raise EmptyRegionError("region contains no point of the ordered simplex")

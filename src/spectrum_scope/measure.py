@@ -22,8 +22,8 @@ from .frames import (
     YoungFrame,
     Spectrum,
     frame_count,
+    frame_rows,
     log_frobenius_dims,
-    partition_tuples,
 )
 from .logspace import NEG_INF, log_sum_exp
 from .schur import SchurTable
@@ -126,7 +126,7 @@ def exact_distribution(
         table = SchurTable(spectrum, boxes)
     elif table.spectrum != spectrum:
         raise ValueError("table was built for a different spectrum")
-    rows = np.fromiter(partition_tuples(boxes, boxes, d), np.dtype((np.int64, d)), frame_count(d, boxes))
+    rows = frame_rows(d, boxes)
     return SchurWeylDistribution(spectrum, rows, table.log_values(rows) + log_frobenius_dims(rows, boxes))
 
 

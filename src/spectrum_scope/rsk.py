@@ -7,8 +7,7 @@ a tableau: by Greene's theorem the shape is the endpoint of the letter-count
 path after one Pitman transform per letter pair (O'Connell, Trans. AMS 355
 (2003); Biane-Bougerol-O'Connell, Duke Math. J. 130 (2005)). That is O(d^2)
 work per letter, vectorized across samples and streamed in time blocks of
-bounded size. ``insert_letter`` keeps explicit insertion into a d x d
-count-matrix tableau as the reference.
+bounded size.
 
 Chains run in sequence, each from its own counter-based Philox stream, so
 the 1 GiB chain cap ``MAX_CHAIN_BYTES`` is the sampler's peak. More chains
@@ -25,89 +24,13 @@ from typing import Iterable, Iterator, Mapping
 import numpy as np
 
 from .errors import ResourceLimitError
-from .frames import YoungFrame, Spectrum
+from .frames import Spectrum
 from .measure import SchurWeylDistribution
 
 # largest path state plus letter block one chain may allocate
 MAX_CHAIN_BYTES = 2**30
 # time steps x samples per streamed letter block
 _BLOCK_CELLS = 2**13
-
-
-@dataclass(frozen=True)
-class CompactTableau:
-    """Semistandard tableau over letters 1..d as per-row letter counts.
-
-    ``counts[i][j]`` is the number of letters ``j+1`` in row ``i+1``; only
-    ``j >= i`` can be occupied because columns increase strictly.
-    """
-
-    counts: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        d = len(self.counts)
-        for i, row in enumerate(self.counts):
-            if len(row) != d:
-                raise ValueError("count matrix must be square")
-            if any(c < 0 for c in row):
-                raise ValueError("letter counts must be non-negative")
-            if any(row[j] != 0 for j in range(i)):
-                raise ValueError(f"row {i + 1} cannot hold letters smaller than {i + 1}")
-        lengths = self.shape()
-        for upper, lower in zip(lengths, lengths[1:]):
-            if upper < lower:
-                raise ValueError(f"row lengths must be non-increasing: {lengths}")
-        # columns strict: letters <= l+1 in a row fit strictly above row below
-        for i in range(d - 1):
-            upper_prefix = 0
-            lower_prefix = 0
-            for letter in range(d - 1):
-                upper_prefix += self.counts[i][letter]
-                lower_prefix += self.counts[i + 1][letter + 1]
-                if lower_prefix > upper_prefix:
-                    raise ValueError("column-strictness violated")
-
-    @classmethod
-    def empty(cls, d: int) -> "CompactTableau":
-        if d < 1:
-            raise ValueError("need at least one letter")
-        return cls(counts=tuple((0,) * d for _ in range(d)))
-
-    @property
-    def d(self) -> int:
-        return len(self.counts)
-
-    def shape(self) -> tuple[int, ...]:
-        return tuple(sum(row) for row in self.counts)
-
-    def boxes(self) -> int:
-        return sum(self.shape())
-
-    def frame(self) -> YoungFrame:
-        return YoungFrame(self.shape())
-
-
-def insert_letter(tableau: CompactTableau, letter: int) -> CompactTableau:
-    """Row-insert one letter (1-based), bumping through rows; returns a new tableau."""
-    d = tableau.d
-    if not 1 <= letter <= d:
-        raise ValueError(f"letter must be in 1..{d}, got {letter}")
-    counts = [list(row) for row in tableau.counts]
-    carry = letter - 1
-    for row in range(d):
-        bumped = -1
-        for candidate in range(carry + 1, d):
-            if counts[row][candidate] > 0:
-                bumped = candidate
-                break
-        counts[row][carry] += 1
-        if bumped < 0:
-            break
-        counts[row][bumped] -= 1
-        carry = bumped
-    else:  # pragma: no cover - insertion always terminates within d rows
-        raise AssertionError("bumping chain escaped the tableau")
-    return CompactTableau(counts=tuple(tuple(row) for row in counts))
 
 
 @dataclass(frozen=True)
@@ -203,13 +126,6 @@ def _sample_shapes(cfg: SamplerConfig, chain: int, count: int) -> Counter:
     return Counter(dict(zip(map(tuple, unique.tolist()), multiplicities.tolist())))
 
 
-def sample_frame(cfg: SamplerConfig) -> YoungFrame:
-    """Draw one outcome frame; chain 0 of the configured stream."""
-    counts = _sample_shapes(cfg, 0, 1)
-    rows = next(iter(counts))
-    return YoungFrame(rows)
-
-
 def sample_frame_counts(cfg: SamplerConfig, samples: int) -> Counter:
     """Outcome counts over many samples, split across the configured chains.
 
@@ -276,31 +192,20 @@ def empirical_distribution(
 def _fit_report(counts: Counter, samples: int, exact: SchurWeylDistribution) -> FitReport:
     from scipy import stats
 
-    tv = 0.0
-    observed_rows = set(counts)
-    for frame, lp in exact.items():
-        prob = math.exp(lp)
-        freq = counts.get(frame.rows, 0) / samples
-        tv += abs(freq - prob)
-        observed_rows.discard(frame.rows)
-    for rows in observed_rows:  # sampled shapes outside the exact support
-        tv += counts[rows] / samples
-    tv *= 0.5
+    log_probs = exact.log_probs.tolist()
+    probs = np.array(list(map(math.exp, log_probs)))
+    observed = np.array([counts.get(rows, 0) for rows in map(tuple, exact.rows.tolist())])
+    # sampled shapes outside the exact support count fully toward TV
+    outside = samples - int(observed.sum())
+    tv = 0.5 * (float(np.abs(observed / samples - probs).sum()) + outside / samples)
 
     # chi-square over frames with expected count >= 5; the rest pool into one tail cell
-    chi = 0.0
-    cells = 0
-    tail_expected = 0.0
-    tail_observed = 0
-    for frame, lp in exact.items():
-        expected = math.exp(lp) * samples
-        observed = counts.get(frame.rows, 0)
-        if expected >= 5.0:
-            chi += (observed - expected) ** 2 / expected
-            cells += 1
-        else:
-            tail_expected += expected
-            tail_observed += observed
+    expected = probs * samples
+    large = expected >= 5.0
+    chi = float(((observed[large] - expected[large]) ** 2 / expected[large]).sum())
+    cells = int(large.sum())
+    tail_expected = float(expected[~large].sum())
+    tail_observed = int(observed[~large].sum())
     if tail_expected > 0.0:
         chi += (tail_observed - tail_expected) ** 2 / tail_expected
         cells += 1

@@ -2,7 +2,9 @@
 
 Everything here works on explicit fillings, explicit rows, or exhaustive
 word enumeration, so agreement with the package is evidence rather than
-tautology.
+tautology. The reference forms the package does not ship live here too:
+the recursive partition generator, row insertion into a count-matrix
+tableau, and a one-sample draw through the public sampler.
 """
 from __future__ import annotations
 
@@ -10,13 +12,32 @@ import bisect
 import itertools
 import math
 from collections import Counter
+from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterator
 
 import numpy as np
+
+from spectrum_scope import YoungFrame, sample_frame_counts
 
 
 class DegenerateSpectrumError(ValueError):
     """The determinant-based evaluator refused a near-degenerate spectrum."""
+
+
+def partition_tuples(n: int, max_part: int, slots: int) -> Iterator[tuple[int, ...]]:
+    """Partitions of n into ``slots`` parts <= max_part, zeros kept, lexicographically decreasing."""
+    if slots == 0:
+        if n == 0:
+            yield ()
+        return
+    if n == 0:
+        yield (0,) * slots
+        return
+    lowest = -(-n // slots)  # smallest feasible leading part
+    for part in range(min(n, max_part), lowest - 1, -1):
+        for rest in partition_tuples(n - part, part, slots - 1):
+            yield (part,) + rest
 
 
 def count_partitions(n: int, max_parts: int) -> int:
@@ -242,3 +263,86 @@ def ball_complement_contains(rows, center, radius) -> bool:
     return any(
         abs(Fraction(y, n) - Fraction(c)) > Fraction(radius) for y, c in zip(rows, center)
     )
+
+
+@dataclass(frozen=True)
+class CompactTableau:
+    """Semistandard tableau over letters 1..d as per-row letter counts.
+
+    ``counts[i][j]`` is the number of letters ``j+1`` in row ``i+1``; only
+    ``j >= i`` can be occupied because columns increase strictly.
+    """
+
+    counts: tuple[tuple[int, ...], ...]
+
+    def __post_init__(self):
+        d = len(self.counts)
+        for i, row in enumerate(self.counts):
+            if len(row) != d:
+                raise ValueError("count matrix must be square")
+            if any(c < 0 for c in row):
+                raise ValueError("letter counts must be non-negative")
+            if any(row[j] != 0 for j in range(i)):
+                raise ValueError(f"row {i + 1} cannot hold letters smaller than {i + 1}")
+        lengths = self.shape()
+        for upper, lower in zip(lengths, lengths[1:]):
+            if upper < lower:
+                raise ValueError(f"row lengths must be non-increasing: {lengths}")
+        # columns strict: letters <= l+1 in a row fit strictly above row below
+        for i in range(d - 1):
+            upper_prefix = 0
+            lower_prefix = 0
+            for letter in range(d - 1):
+                upper_prefix += self.counts[i][letter]
+                lower_prefix += self.counts[i + 1][letter + 1]
+                if lower_prefix > upper_prefix:
+                    raise ValueError("column-strictness violated")
+
+    @classmethod
+    def empty(cls, d: int) -> "CompactTableau":
+        if d < 1:
+            raise ValueError("need at least one letter")
+        return cls(counts=tuple((0,) * d for _ in range(d)))
+
+    @property
+    def d(self) -> int:
+        return len(self.counts)
+
+    def shape(self) -> tuple[int, ...]:
+        return tuple(sum(row) for row in self.counts)
+
+    def boxes(self) -> int:
+        return sum(self.shape())
+
+    def frame(self) -> YoungFrame:
+        return YoungFrame(self.shape())
+
+
+def insert_letter(tableau: CompactTableau, letter: int) -> CompactTableau:
+    """Row-insert one letter (1-based), bumping through rows; returns a new tableau."""
+    d = tableau.d
+    if not 1 <= letter <= d:
+        raise ValueError(f"letter must be in 1..{d}, got {letter}")
+    counts = [list(row) for row in tableau.counts]
+    carry = letter - 1
+    for row in range(d):
+        bumped = -1
+        for candidate in range(carry + 1, d):
+            if counts[row][candidate] > 0:
+                bumped = candidate
+                break
+        counts[row][carry] += 1
+        if bumped < 0:
+            break
+        counts[row][bumped] -= 1
+        carry = bumped
+    else:  # pragma: no cover - insertion always terminates within d rows
+        raise AssertionError("bumping chain escaped the tableau")
+    return CompactTableau(counts=tuple(tuple(row) for row in counts))
+
+
+
+
+def sample_frame(cfg) -> YoungFrame:
+    """Draw one outcome frame: the single sample of chain 0 of the configured stream."""
+    return YoungFrame(next(iter(sample_frame_counts(cfg, 1))))

@@ -5,11 +5,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 
+import numpy as np
+
 from conftest import partition_rows
 from oracles import (
     count_partitions,
     frame_to_exact_estimate,
     hook_length_count,
+    partition_tuples,
     ssyt_contents,
     standard_tableaux_count,
 )
@@ -22,10 +25,12 @@ from spectrum_scope import (
     dim_unitary_irrep,
     enumerate_frames,
     frame_count,
+    frame_rows,
     frame_to_estimate,
     log_dim_symmetric_irrep,
     log_dim_unitary_irrep,
 )
+from spectrum_scope.frames import _CHUNK_ROWS, log_frobenius_dims
 
 
 class TestEnumeration:
@@ -59,6 +64,24 @@ class TestEnumeration:
                 expected = count_partitions(n, d) if n else 1
                 assert len(list(enumerate_frames(d, n))) == expected
                 assert frame_count(d, n) == expected
+
+    def test_frame_rows_match_the_recursive_oracle(self):
+        sizes = [(d, n) for d in range(1, 7) for n in range(0, 41)]
+        # N = 128, 256 and 32768 are the first sizes whose first part leaves a
+        # signed byte, an unsigned byte and a signed 16-bit integer
+        boundaries = [(2, 127), (3, 127), (2, 128), (4, 128), (2, 255), (3, 256), (2, 32767), (2, 32768)]
+        for d, n in sizes + boundaries + [(3, 200), (4, 100), (66, 3), (1000, 3)]:
+            rows = frame_rows(d, n)
+            assert rows.dtype == np.int64 and rows.shape == (frame_count(d, n), d), (d, n)
+            assert rows.tolist() == [list(t) for t in partition_tuples(n, n, d)], (d, n)
+
+    def test_frame_rows_reject_bad_sizes(self):
+        with pytest.raises(ValueError):
+            frame_rows(0, 3)
+        with pytest.raises(ValueError):
+            frame_rows(3, -1)
+        with pytest.raises(ValueError):
+            list(enumerate_frames(3, -1))
 
     def test_count_table_matches_oracle_past_the_row_count(self):
         for d in range(0, 12):
@@ -125,6 +148,16 @@ class TestSymmetricDimension:
             assert dim_symmetric_irrep(padded) == dim_symmetric_irrep(YoungFrame(rows)) == hook_length_count(rows)
             assert log_dim_symmetric_irrep(padded) == log_dim_symmetric_irrep(YoungFrame(rows))
         assert time.perf_counter() - start < 0.5
+
+    @pytest.mark.parametrize("d, n", [(3, 400), (3, 0), (1, 0), (7, 5), (66, 3), (4, 30)])
+    def test_log_frobenius_dims_are_logs_of_the_hook_length_count(self, d, n):
+        # bit for bit; d3 N400 has 13,534 frames, more than one block of exact integers
+        rows = frame_rows(d, n)
+        logs = log_frobenius_dims(rows, n)
+        assert logs.dtype == np.float64 and logs.shape == (len(rows),)
+        assert logs.tolist() == [math.log(hook_length_count(r)) for r in rows.tolist()]
+        if (d, n) == (3, 400):
+            assert len(rows) > _CHUNK_ROWS
 
     def test_log_path_matches_exact_path(self):
         # the exact integer stays available far beyond float range; the log

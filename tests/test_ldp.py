@@ -13,6 +13,7 @@ from spectrum_scope import (
     FrameSet,
     HalfSpace,
     PredicateRegion,
+    ResourceLimitError,
     SchurTable,
     Spectrum,
     YoungFrame,
@@ -27,7 +28,7 @@ from spectrum_scope import (
     rate,
     rate_scan,
 )
-from spectrum_scope.frames import partition_tuples
+from oracles import partition_tuples
 
 
 def binary_rate(s1: float, r1: float) -> float:
@@ -361,6 +362,19 @@ class TestInfRateOverRegion:
         result = inf_rate_over_region(PredicateRegion(lambda s: True), r)
         assert result.value == 0.0
         assert result.minimizer == r
+
+    def test_predicate_lattice_cap_is_checked_before_any_call(self):
+        calls = []
+        region = PredicateRegion(lambda s: calls.append(s) or True)
+        with pytest.raises(ResourceLimitError, match="4775383"):
+            inf_rate_over_region(region, Spectrum((0.25, 0.2, 0.2, 0.15, 0.1, 0.1)))
+        assert calls == []
+
+    def test_predicate_lattice_at_five_levels(self):
+        # 643,287 lattice points, walked in blocks; the parent's value, bit for bit
+        r = Spectrum((0.3, 0.25, 0.2, 0.15, 0.1))
+        result = inf_rate_over_region(PredicateRegion(lambda s: s[0] >= 0.5), r)
+        assert result.value == 0.08723433914026872
 
 
 def binary_entropy(p: float) -> float:

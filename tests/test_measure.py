@@ -93,7 +93,8 @@ class TestExactDistribution:
         assert np.array_equal(a.log_probs, b.log_probs)
 
     @pytest.mark.parametrize(
-        "boxes, values", [(200, (0.5, 0.3, 0.2)), (100, (0.4, 0.3, 0.2, 0.1))]
+        # N = 128: the first size whose frame (N, 0) does not fit in a signed byte
+        "boxes, values", [(200, (0.5, 0.3, 0.2)), (100, (0.4, 0.3, 0.2, 0.1)), (128, (0.6, 0.4))]
     )
     def test_log_probs_are_schur_plus_log_hook_count(self, boxes, values):
         # bit-for-bit: the outcome law must not depend on how f^Y is computed

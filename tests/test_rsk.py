@@ -6,10 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import rsk_shape, word_shape_distribution
+from oracles import CompactTableau, insert_letter, rsk_shape, sample_frame, word_shape_distribution
 
 from spectrum_scope import (
-    CompactTableau,
     ResourceLimitError,
     SamplerConfig,
     Spectrum,
@@ -17,8 +16,6 @@ from spectrum_scope import (
     empirical_distribution,
     exact_distribution,
     expectation_of,
-    insert_letter,
-    sample_frame,
     sample_frame_counts,
 )
 from spectrum_scope import rsk
@@ -246,6 +243,16 @@ class TestEmpiricalDistribution:
         report = empirical_distribution(cfg, 100_000, exact=exact).fit
         assert report.p_value > 0.001
         assert report.tv_distance < 0.02
+
+    def test_fit_report_from_the_law_columns(self):
+        # the same case, against the values of the frame-by-frame report
+        spectrum = Spectrum((0.7, 0.3))
+        exact = exact_distribution(2, 10, spectrum)
+        cfg = SamplerConfig(d=2, boxes=10, spectrum=spectrum, seed=37, chains=4)
+        report = empirical_distribution(cfg, 100_000, exact=exact).fit
+        assert report.tv_distance == pytest.approx(0.0018417616000003263, rel=1e-12)
+        assert report.chi_square == pytest.approx(2.0697995612504574, rel=1e-12)
+        assert (report.cells, report.degrees_of_freedom) == (6, 5)
 
 
 def test_throughput_report():

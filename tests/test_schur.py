@@ -9,6 +9,7 @@ from conftest import random_spectrum, spectra
 from oracles import (
     DegenerateSpectrumError,
     kostka_table,
+    partition_tuples,
     schur_by_monomials,
     schur_log_bialternant,
     schur_log_jacobi_trudi,
@@ -33,7 +34,6 @@ from spectrum_scope import (
     sn_character,
     weight_multiplicities,
 )
-from spectrum_scope.frames import partition_tuples
 from spectrum_scope.logspace import NEG_INF
 
 
