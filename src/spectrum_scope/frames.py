@@ -118,19 +118,17 @@ def frame_rows(d: int, boxes: int) -> np.ndarray:
         rows = np.zeros((1, d), dtype=np.int64)
         rows[:, :width] = boxes
         return rows
-    # every part and remainder lies in 0..N, and every jump between runs in -N..N
-    small = np.promote_types(np.min_scalar_type(boxes), np.int8)
     levels = []  # (parts, children per parent node) of columns 0 .. width - 3
-    left = np.array([boxes], dtype=small)
+    left = np.array([boxes], dtype=np.int64)
     cap = left
     for slots in range(width, 1, -1):
         high = np.minimum(left, cap)
-        counts = (high + 1 + (-left // slots)).astype(np.int64)
+        counts = high + 1 + (-left // slots)
         if slots == 2:
             break
         # each node's parts run down from ``high``, and what is left up from ``left - high``
-        parts = _fill_runs(np.empty(counts.sum(), dtype=small), high, counts, -1)
-        left = _fill_runs(np.empty(len(parts), dtype=small), left - high, counts, 1)
+        parts = _fill_runs(np.empty(counts.sum(), dtype=np.int64), high, counts, -1)
+        left = _fill_runs(np.empty(len(parts), dtype=np.int64), left - high, counts, 1)
         levels.append((parts, counts))
         cap = parts
     rows = np.zeros((counts.sum(), d), dtype=np.int64)

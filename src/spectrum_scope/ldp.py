@@ -35,6 +35,8 @@ _GRID_RESOLUTION = 200
 MAX_LATTICE_POINTS = 10**6
 # lattice rows turned into points at a time
 _LATTICE_CHUNK = 2**13
+# the Legendre ascent stops once max |s_j - w_j| is at most this
+_LEGENDRE_TOLERANCE = 1e-10
 
 
 def _values(spectrum) -> tuple[float, ...]:
@@ -88,19 +90,17 @@ class LegendreResult:
     gradient_norm: float
 
 
-def legendre_of_cgf(
-    s,
-    r,
-    *,
-    max_iterations: int = 1000,
-    tolerance: float = 1e-10,
-) -> LegendreResult:
+def legendre_of_cgf(s, r, *, max_iterations: int = 1000) -> LegendreResult:
     """sup_eta (eta . s - c(eta)) by damped Newton ascent on the zero-mean plane.
 
     Coordinates where s vanishes are removed first (their optimal tilt runs
     to -inf and drops out), so boundary points of the simplex are handled by
-    the same closed-form limit. The analytic optimizer ln(s_j/r_j) is used
-    only in tests, as a convergence certificate.
+    the same closed-form limit. On what is left, with tilted weights w, the
+    gradient s - w sums to zero, so (diag(w) - w w^T)(s / w) = s - w and the
+    Newton step is s / w centred to zero mean. It is formed in the log
+    domain, so no weight underflows, and scaled to max-norm at most 1. The
+    analytic optimizer ln(s_j/r_j) is used only in tests, as a convergence
+    certificate.
     """
     sv, rv = _values(s), _values(r)
     if len(sv) != len(rv):
@@ -109,46 +109,40 @@ def legendre_of_cgf(
     if any(rv[j] == 0.0 for j in support):
         return LegendreResult(value=math.inf, eta=(math.nan,) * len(sv), iterations=0, gradient_norm=0.0)
     s_red = np.array([sv[j] for j in support], dtype=float)
-    r_red = np.array([rv[j] for j in support], dtype=float)
-    m = len(support)
-    log_r = np.log(r_red)
-    eta = np.zeros(m)
+    log_s = np.log(s_red)
+    log_r = np.log([rv[j] for j in support])
 
-    def objective(e: np.ndarray) -> float:
-        return float(e @ s_red) - log_sum_exp(log_r + e)
+    def ascent_state(e: np.ndarray) -> tuple[float, np.ndarray]:
+        """Objective value and log tilted weights at ``e``."""
+        logits = log_r + e
+        total = log_sum_exp(logits)
+        return float(e @ s_red) - total, logits - total
 
-    value = objective(eta)
-    grad = s_red - cgf_gradient(eta, r_red)
-    grad_norm = float(np.abs(grad).max())
+    eta = np.zeros(len(support))
+    value, log_w = ascent_state(eta)
     iterations = 0
-    while grad_norm > tolerance:
+    while (grad_norm := float(np.abs(s_red - np.exp(log_w)).max())) > _LEGENDRE_TOLERANCE:
         if iterations >= max_iterations:
             raise ConvergenceError(
-                f"tilt ascent did not reach gradient norm {tolerance:g} within "
+                f"tilt ascent did not reach gradient norm {_LEGENDRE_TOLERANCE:g} within "
                 f"{max_iterations} iterations (last norm {grad_norm:.3e})",
                 last_iterate=tuple(eta),
             )
-        w = cgf_gradient(eta, r_red)
-        hessian = np.diag(w) - np.outer(w, w)
-        step = np.linalg.lstsq(hessian, grad, rcond=1e-12)[0]
+        # step is (s / w) e^-top, so exp cannot overflow where w is subnormal;
+        # dividing by max(e^-top, its max-norm) caps the centred s / w at max-norm 1
+        log_ratio = log_s - log_w
+        top = float(log_ratio.max())
+        step = np.exp(log_ratio - top)
         step -= step.mean()
-        if not np.all(np.isfinite(step)) or float(np.abs(step).max()) == 0.0:
-            step = grad - grad.mean()
-        if float(grad @ step) <= 0.0:
-            step = grad - grad.mean()
-        # damped Newton: halve only on a genuine regression, since near the
-        # optimum the true improvement drops below rounding
+        step /= max(math.exp(-top), float(np.abs(step).max()))
+        # halve only on a genuine regression, since near the optimum the true
+        # improvement drops below rounding
         scale = 1.0
-        candidate = eta + step
-        new_value = objective(candidate)
+        new_value, new_log_w = ascent_state(eta + step)
         while new_value < value - 1e-13 and scale > 1e-12:
             scale *= 0.5
-            candidate = eta + scale * step
-            new_value = objective(candidate)
-        eta = candidate - candidate.mean()
-        value = objective(eta)
-        grad = s_red - cgf_gradient(eta, r_red)
-        grad_norm = float(np.abs(grad).max())
+            new_value, new_log_w = ascent_state(eta + scale * step)
+        eta, value, log_w = eta + scale * step, new_value, new_log_w
         iterations += 1
     full_eta = [NEG_INF] * len(sv)
     for j, e in zip(support, eta):
@@ -169,16 +163,13 @@ def empirical_cgf(
     eta: Sequence[float],
     *,
     table: SchurTable | None = None,
-    dist: SchurWeylDistribution | None = None,
 ) -> float:
     """(1/N) ln E[exp(eta . Y)] under the exact outcome distribution."""
     if boxes < 1:
         raise ValueError("need at least one box")
     if len(eta) != d:
         raise ValueError("tilt vector must have d entries")
-    if dist is None:
-        dist = exact_distribution(d, boxes, spectrum, table=table)
-    return _tilted_log_sum(dist, eta) / boxes
+    return _tilted_log_sum(exact_distribution(d, boxes, spectrum, table=table), eta) / boxes
 
 
 def j_equivalence_gap(
@@ -188,7 +179,6 @@ def j_equivalence_gap(
     eta: Sequence[float],
     *,
     table: SchurTable | None = None,
-    dist: SchurWeylDistribution | None = None,
 ) -> float:
     """(1/N)(ln J - ln J') for the tilted character sum and its highest-weight proxy.
 
@@ -203,8 +193,7 @@ def j_equivalence_gap(
         raise ValueError("tilt vector must have d entries")
     if any(a < b for a, b in zip(eta, list(eta)[1:])):
         raise ValueError(f"tilt vector must be non-increasing: {tuple(eta)}")
-    if dist is None:
-        dist = exact_distribution(d, boxes, spectrum, table=table)
+    dist = exact_distribution(d, boxes, spectrum, table=table)
     log_j = _tilted_log_sum(dist, eta)
     tilted_h = [(math.log(v) if v > 0.0 else NEG_INF) + float(x) for v, x in zip(spectrum, eta)]
     highest_weight = np.zeros(len(dist.rows))
@@ -401,14 +390,7 @@ class RateProfile:
     target: RegionInfimum
 
 
-def rate_scan(
-    d: int,
-    spectrum: Spectrum,
-    region: Region,
-    boxes_list: Sequence[int],
-    *,
-    table: SchurTable | None = None,
-) -> RateProfile:
+def rate_scan(d: int, spectrum: Spectrum, region: Region, boxes_list: Sequence[int]) -> RateProfile:
     """Tabulate a_N = -(1/N) ln K_N(region) against inf of the rate over the region."""
     if not boxes_list:
         raise ValueError("need at least one box count")
@@ -416,8 +398,7 @@ def rate_scan(
         raise ValueError("box counts must be positive")
     for n in boxes_list:
         check_enumeration_cap(d, n)
-    if table is None:
-        table = SchurTable(spectrum, max(boxes_list))
+    table = SchurTable(spectrum, max(boxes_list))
     try:
         target = inf_rate_over_region(region, spectrum)
     except EmptyRegionError:

@@ -354,6 +354,13 @@ class TestLegendre:
         assert float(record["rate"]) == pytest.approx(expected, abs=1e-12)
         assert abs(float(record["difference"])) < 1e-8
 
+    def test_tiny_eigenvalue_converges(self, capsys):
+        argv = ["legendre", "--d", 3, "--spectrum", "0.9996,0.0004,1e-20", "--s-point", "0.6,0.2,0.2"]
+        assert run(argv) == 0
+        record = dict(zip(*[line.split(",") for line in capsys.readouterr().out.strip().splitlines()]))
+        assert float(record["rate"]) == pytest.approx(9.8251190829270101, abs=1e-12)
+        assert abs(float(record["difference"])) <= 1e-8
+
     def test_identical_points_give_zero(self, capsys):
         assert run(["legendre", "--d", 2, "--spectrum", "0.6,0.4", "--s-point", "0.6,0.4"]) == 0
         record = dict(zip(*[line.split(",") for line in capsys.readouterr().out.strip().splitlines()]))

@@ -150,6 +150,24 @@ class TestLegendre:
             result = legendre_of_cgf(s, r)
             assert abs(result.value - rate(s, r)) <= 1e-8
 
+    def test_duality_on_sparse_random_pairs(self):
+        # Dirichlet(0.05) puts eigenvalues far below 1e-12 of the largest,
+        # where a truncated Hessian solve loses directions
+        rng = np.random.default_rng(61)
+        for _ in range(200):
+            d = int(rng.integers(2, 7))
+            s = Spectrum.from_unsorted(rng.dirichlet(np.full(d, 0.05)))
+            r = Spectrum.from_unsorted(rng.dirichlet(np.full(d, 0.05)))
+            result = legendre_of_cgf(s, r)
+            expected = rate(s, r)
+            if math.isfinite(expected):
+                assert abs(result.value - expected) <= 1e-8, (s, r)
+
+    def test_subnormal_eigenvalue(self):
+        # s / w starts near 1e323, past the largest float
+        s, r = Spectrum((0.6, 0.4)), Spectrum((1.0, 5e-324))
+        assert legendre_of_cgf(s, r).value == pytest.approx(rate(s, r), abs=1e-8)
+
     def test_budget_exhaustion_raises_with_iterate(self):
         with pytest.raises(ConvergenceError) as info:
             legendre_of_cgf(Spectrum((0.9, 0.1)), Spectrum((0.6, 0.4)), max_iterations=0)
