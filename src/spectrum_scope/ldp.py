@@ -16,13 +16,12 @@ import numpy as np
 
 from .errors import ConvergenceError, EmptyRegionError, ResourceLimitError
 from .frames import Spectrum, frame_count, frame_rows, log_frobenius_dims
-from .logspace import NEG_INF, log_sum_exp
+from .logspace import NEG_INF, log_sum_exp, weighted_dots
 from .measure import (
     BallComplement,
     FrameSet,
     HalfSpace,
     Region,
-    SchurWeylDistribution,
     check_enumeration_cap,
     exact_distribution,
     region_log_probability,
@@ -61,11 +60,18 @@ def rate(s, r) -> float:
     return max(math.fsum(terms), 0.0)
 
 
+def _check_tilt(eta: Sequence[float], d: int) -> None:
+    if len(eta) != d:
+        raise ValueError(f"tilt vector must have {d} entries")
+    # -inf tilts a level away; NaN and +inf are rejected
+    if not all(float(e) < math.inf for e in eta):
+        raise ValueError(f"tilt entries must be finite or -inf: {tuple(eta)}")
+
+
 def cgf(eta: Sequence[float], r) -> float:
     """ln sum_j r_j exp(eta_j), the scaled cumulant generating function."""
     rv = _values(r)
-    if len(eta) != len(rv):
-        raise ValueError("tilt vector must match the spectrum dimension")
+    _check_tilt(eta, len(rv))
     terms = [math.log(v) + float(e) for v, e in zip(rv, eta) if v > 0.0]
     return log_sum_exp(terms)
 
@@ -152,10 +158,6 @@ def legendre_of_cgf(s, r, *, max_iterations: int = 1000) -> LegendreResult:
     )
 
 
-def _tilted_log_sum(dist: SchurWeylDistribution, eta: Sequence[float]) -> float:
-    return log_sum_exp(dist.log_probs + (dist.rows * np.asarray(eta, dtype=float)).sum(axis=1))
-
-
 def empirical_cgf(
     d: int,
     boxes: int,
@@ -167,9 +169,9 @@ def empirical_cgf(
     """(1/N) ln E[exp(eta . Y)] under the exact outcome distribution."""
     if boxes < 1:
         raise ValueError("need at least one box")
-    if len(eta) != d:
-        raise ValueError("tilt vector must have d entries")
-    return _tilted_log_sum(exact_distribution(d, boxes, spectrum, table=table), eta) / boxes
+    _check_tilt(eta, d)
+    dist = exact_distribution(d, boxes, spectrum, table=table)
+    return log_sum_exp(dist.log_probs + weighted_dots(dist.rows, eta)) / boxes
 
 
 def j_equivalence_gap(
@@ -189,18 +191,13 @@ def j_equivalence_gap(
     """
     if boxes < 1:
         raise ValueError("need at least one box")
-    if len(eta) != d:
-        raise ValueError("tilt vector must have d entries")
+    _check_tilt(eta, d)
     if any(a < b for a, b in zip(eta, list(eta)[1:])):
         raise ValueError(f"tilt vector must be non-increasing: {tuple(eta)}")
     dist = exact_distribution(d, boxes, spectrum, table=table)
-    log_j = _tilted_log_sum(dist, eta)
+    log_j = log_sum_exp(dist.log_probs + weighted_dots(dist.rows, eta))
     tilted_h = [(math.log(v) if v > 0.0 else NEG_INF) + float(x) for v, x in zip(spectrum, eta)]
-    highest_weight = np.zeros(len(dist.rows))
-    for column, h in zip(dist.rows.T, tilted_h):
-        used = column > 0  # 0 * (-inf) := 0, as in schur.weighted_dot
-        highest_weight[used] += column[used] * h
-    log_j_proxy = log_sum_exp(highest_weight + log_frobenius_dims(dist.rows, dist.boxes))
+    log_j_proxy = log_sum_exp(weighted_dots(dist.rows, tilted_h) + log_frobenius_dims(dist.rows, dist.boxes))
     return (log_j - log_j_proxy) / boxes
 
 

@@ -22,3 +22,12 @@ def log_sum_exp(values) -> float:
     if top == NEG_INF:
         return NEG_INF
     return top + math.log(float(np.exp(arr - top).sum()))
+
+
+def weighted_dots(rows, log_values) -> np.ndarray:
+    """sum_a rows[i][a] * log_values[a] for each row i, column by column, with 0 * (-inf) := 0."""
+    rows, total = np.asarray(rows), np.zeros(len(rows))
+    for column, h in zip(rows.T, log_values):
+        used = column > 0
+        total[used] += column[used] * h
+    return total

@@ -25,6 +25,7 @@ import numpy as np
 
 from .errors import ResourceLimitError
 from .frames import Spectrum
+from .logspace import log_sum_exp
 from .measure import SchurWeylDistribution
 
 # largest path state plus letter block one chain may allocate
@@ -189,9 +190,22 @@ def empirical_distribution(
     )
 
 
-def _fit_report(counts: Counter, samples: int, exact: SchurWeylDistribution) -> FitReport:
-    from scipy import stats
+def _chi2_sf(x: float, k: int) -> float:
+    """P(X > x) for X chi-square with an integer number k >= 1 of degrees of freedom.
 
+    With h = x/2 this is e^(-h) sum_a h^a / a! over a = k/2 - 1, k/2 - 2, ... >= 0,
+    plus erfc(sqrt h) when k is odd (the a are then half-integers); every term
+    is positive and formed in log space.
+    """
+    if x <= 0.0:
+        return 1.0
+    h = x / 2
+    orders = k % 2 / 2 + np.arange(k // 2)
+    terms = orders * math.log(h) - h - np.array([math.lgamma(a + 1) for a in orders])
+    return (math.erfc(math.sqrt(h)) if k % 2 else 0.0) + math.exp(log_sum_exp(terms))
+
+
+def _fit_report(counts: Counter, samples: int, exact: SchurWeylDistribution) -> FitReport:
     log_probs = exact.log_probs.tolist()
     probs = np.array(list(map(math.exp, log_probs)))
     observed = np.array([counts.get(rows, 0) for rows in map(tuple, exact.rows.tolist())])
@@ -210,7 +224,7 @@ def _fit_report(counts: Counter, samples: int, exact: SchurWeylDistribution) -> 
         chi += (tail_observed - tail_expected) ** 2 / tail_expected
         cells += 1
     dof = max(cells - 1, 1)
-    p_value = float(stats.chi2.sf(chi, dof))
+    p_value = _chi2_sf(chi, dof)
     return FitReport(
         tv_distance=tv,
         chi_square=chi,

@@ -1,11 +1,12 @@
 """Stable evaluation of Schur polynomials, weights, and character bounds.
 
 The evaluator runs the branching recursion over interlacing sub-shapes,
-peeling one eigenvalue at a time, by one code path for any number of rows,
-in float64 values normalised by the highest weight. Every summand is
-positive, so the result is accurate to rounding even for degenerate
-spectra. Tiny instances can be validated against symmetric-group
-characters via cycle-type sums.
+peeling one eigenvalue at a time, in float64 values normalised by the
+highest weight. Each step is one first-order recurrence per axis, the same
+for any number of rows and any eigenvalue ratio. Every summand is positive,
+so the result is accurate to rounding even for degenerate spectra. Tiny
+instances can be validated against symmetric-group characters via
+cycle-type sums.
 """
 from __future__ import annotations
 
@@ -25,13 +26,11 @@ from .frames import (
     enumerate_frames,
     log_dim_unitary_irrep,
 )
-from .logspace import NEG_INF, log_sum_exp
+from .logspace import NEG_INF, log_sum_exp, weighted_dots
 
 KOSTKA_MAX_BOXES = 12
 KOSTKA_MAX_ROWS = 4
 CYCLE_SUM_MAX_BOXES = 8
-#: Largest log-span of one block of ``_branch``: scale factors stay within e^(+-40).
-BLOCK_LOG_SPAN = 40.0
 #: Cap on the top cube of a SchurTable plus its largest crop, 16 * prod of the
 #: staircase sides, checked before allocation.
 MAX_TABLE_BYTES = 2**29
@@ -66,51 +65,25 @@ class DiagonalState:
         return len(self.log_eigenvalues)
 
 
-def weighted_dot(weight: Sequence[int], log_values: Sequence[float]) -> float:
-    """Sum of weight[j] * log_values[j] with the 0 * (-inf) := 0 convention."""
-    total = 0.0
-    for w, h in zip(weight, log_values):
-        if w == 0:
-            continue
-        if h == NEG_INF:
-            return NEG_INF
-        total += w * h
-    return total
-
-
 def _branch(cube: np.ndarray, low: Sequence[int], ratios: Sequence[float]) -> None:
     """One step of the branching rule, in place, on a cube whose axis a holds rows low[a], low[a]+1, ...
 
     The cube enters indexed by (mu_0, ..., mu_(m-2), Y_(m-1)) and leaves indexed
     by Y: for each axis a, from the last but one to the first, the terms with
-    mu_a < Y_(a+1) are set to 0, then S_i = q S_(i-1) + x_i, q = ratios[a] <= 1,
-    sums mu_a over [Y_(a+1), Y_a] with weights q^(Y_a - mu_a). q == 1 is one
-    cumsum. Otherwise the axis is cut at the multiples of a width whose
-    log-span width * ln(1/q) is at most BLOCK_LOG_SPAN; each block is scaled
-    up by q^-phase, summed by cumsum, scaled back by q^phase, and starts from
-    q times the last sum before it. Blocks follow the row, not the crop, and
-    leading zeros add exactly 0, so a sum does not depend, to the bit, on
-    where the crop starts.
+    mu_a < Y_(a+1) are set to 0, then the recurrence S_i = q S_(i-1) + x_i,
+    q = ratios[a] <= 1, run slab by slab along the axis, sums mu_a over
+    [Y_(a+1), Y_a] with weights q^(Y_a - mu_a). Every summand is positive and
+    q S can only underflow towards 0. The masked leading rows are exact zeros
+    and q 0 + 0 = 0, so a sum does not depend, to the bit, on where the crop
+    starts.
     """
     for a in range(cube.ndim - 2, -1, -1):
         here, after = (np.arange(n) + lo for n, lo in zip(cube.shape[a : a + 2], low[a : a + 2]))
         below = np.less.outer(here, after)
         np.copyto(cube, 0.0, where=below.reshape(below.shape + (1,) * (cube.ndim - a - 2)))
         q, view = ratios[a], np.moveaxis(cube, a, 0)
-        if q == 1.0:
-            np.cumsum(view, axis=0, out=view)
-            continue
-        phase = here % max(1, int(BLOCK_LOG_SPAN / -math.log(q)))
-        column = (-1,) + (1,) * (view.ndim - 1)
-        span = range(phase.max() + 1)
-        view *= np.array([q**-p for p in span])[phase].reshape(column)
-        down = np.array([q**p for p in span])[phase].reshape(column)
-        cuts = [0, *(np.flatnonzero(phase[1:] == 0) + 1).tolist(), len(view)]
-        for b, e in zip(cuts, cuts[1:]):
-            if b:
-                view[b] += q * view[b - 1]
-            np.cumsum(view[b:e], axis=0, out=view[b:e])
-            view[b:e] *= down[b:e]
+        for prev, row in zip(view, view[1:]):
+            row += q * prev
 
 
 class SchurTable:
@@ -174,10 +147,10 @@ class SchurTable:
 
         Shapes are batched by Y_m, the first row the top cube does not index;
         a batch branches the crop [min Y_(a+1), max Y_a] on each axis a. Terms
-        below Y_(a+1) are masked to 0 and the prefix sums follow absolute
-        rows, so a value does not depend, to the bit, on the rest of its
-        batch. The only log is taken here: ln s_Y = ln L_k(Y) + sum_a Y_a ln r_a,
-        summed column by column.
+        below Y_(a+1) are masked to exact zeros, which the recurrence carries
+        as zeros (q 0 + 0 = 0), so a value does not depend, to the bit, on the
+        rest of its batch. The only log is taken here:
+        ln s_Y = ln L_k(Y) + sum_a Y_a ln r_a, summed column by column.
         """
         rows, k, m = np.asarray(rows, dtype=np.int64), self._k, self._cube.ndim
         boxes = rows.sum(axis=1)
@@ -193,9 +166,8 @@ class SchurTable:
             crop = self._cube[tuple(map(slice, low, high + 1)) + (None,)].copy()
             _branch(crop, (*low, y), ratios)
             top[pick] = crop[(*(shapes[:, :m] - low).T, 0)]
-        highest = np.zeros(len(rows))
-        for a, v in enumerate(self._r):  # not rows @ log r, whose order may vary with the batch
-            highest += rows[:, a] * math.log(v)
+        # not rows @ log r, whose order may vary with the batch
+        highest = weighted_dots(rows, [math.log(v) for v in self._r])
         return np.where(live, np.log(top) + highest, NEG_INF)
 
 
@@ -269,11 +241,9 @@ def _ssyt_contents(shape: tuple[int, ...], level: int):
 
 def character_from_weights(table: WeightTable, state: DiagonalState) -> float:
     """Character as the weight expansion: log-sum of m(mu) * exp(mu . h)."""
-    terms = [
-        math.log(mult) + weighted_dot(weight, state.log_eigenvalues)
-        for weight, mult in sorted(table.entries.items())
-    ]
-    return log_sum_exp(terms)
+    weights = sorted(table.entries)
+    logs = np.array([math.log(table.entries[weight]) for weight in weights])
+    return log_sum_exp(logs + weighted_dots(weights, state.log_eigenvalues))
 
 
 @dataclass(frozen=True)
@@ -294,7 +264,7 @@ def character_bounds_check(
     if frame.nonzero_rows() > d:
         raise ValueError(f"frame {frame} has more than {d} nonzero rows")
     rows = (frame.rows + (0,) * d)[:d]
-    lower = weighted_dot(rows, state.log_eigenvalues)
+    lower = float(weighted_dots([rows], state.log_eigenvalues)[0])
     upper = lower + log_dim_unitary_irrep(frame, d)
     value = schur_log(YoungFrame(rows), state.to_spectrum())
     holds = (lower - slack <= value) and (value <= upper + slack)

@@ -202,6 +202,24 @@ class TestEmpiricalCgf:
                 bound = (d * (d - 1) / 2) * math.log(n + 1) / n + 2 / n
                 assert abs(value - limit) <= bound
 
+    def test_minus_infinite_tilt_drops_the_level(self):
+        # the tilt Legendre ascent returns for s = (1, 0): only the frame (10, 0) is left
+        r = Spectrum((0.6, 0.4))
+        eta = legendre_of_cgf((1.0, 0.0), r).eta
+        assert eta == (0.0, -math.inf)
+        expected = math.log((0.6**11 - 0.4**11) / 0.2) / 10
+        assert empirical_cgf(2, 10, r, eta) == pytest.approx(expected, abs=1e-13)
+
+    @pytest.mark.parametrize("bad", [(math.nan, 0.0), (math.inf, 0.0), (0.0, math.nan)])
+    def test_nan_or_plus_infinite_tilt_rejected(self, bad):
+        r = Spectrum((0.6, 0.4))
+        with pytest.raises(ValueError, match="finite or -inf"):
+            cgf(bad, r)
+        with pytest.raises(ValueError, match="finite or -inf"):
+            empirical_cgf(2, 10, r, bad)
+        with pytest.raises(ValueError, match="finite or -inf"):
+            j_equivalence_gap(2, 10, r, bad)
+
 
 class TestJEquivalenceGap:
     def test_single_level_is_exact(self):
@@ -219,6 +237,12 @@ class TestJEquivalenceGap:
         gaps = [abs(j_equivalence_gap(2, n, r, (0.2, 0.0), table=table)) for n in (25, 50, 100)]
         assert gaps[0] > gaps[1] > gaps[2]
         assert gaps[0] <= math.log(26) / 25 + 0.01
+
+    def test_minus_infinite_tilt(self):
+        # J = h_10(0.6, 0.4) and J' = 0.6^10, both from the frame (10, 0) alone
+        r = Spectrum((0.6, 0.4))
+        expected = math.log(math.fsum((2 / 3) ** k for k in range(11))) / 10
+        assert j_equivalence_gap(2, 10, r, (0.0, -math.inf)) == pytest.approx(expected, abs=1e-13)
 
     def test_requires_non_increasing_tilt(self):
         with pytest.raises(ValueError):

@@ -1,4 +1,6 @@
 import math
+import subprocess
+import sys
 import tracemalloc
 from collections import Counter
 
@@ -6,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import subprocess_env
 from oracles import CompactTableau, insert_letter, rsk_shape, sample_frame, word_shape_distribution
 
 from spectrum_scope import (
@@ -253,6 +256,26 @@ class TestEmpiricalDistribution:
         assert report.tv_distance == pytest.approx(0.0018417616000003263, rel=1e-12)
         assert report.chi_square == pytest.approx(2.0697995612504574, rel=1e-12)
         assert (report.cells, report.degrees_of_freedom) == (6, 5)
+
+
+def test_chi_square_tail_matches_scipy():
+    from scipy import stats
+
+    for k in [*range(1, 41), 49, 50, 99, 100, 501, 1000, 2999, 5000]:
+        for x in [1e-300, 1e-8, 1e-3, *np.linspace(0.0, 2 * k + 10, 81)]:
+            reference, got = stats.chi2.sf(x, k), rsk._chi2_sf(float(x), k)
+            if reference > 1e-300:
+                assert abs(got - reference) <= 1e-10 * reference, (k, x)
+
+
+def test_verify_leaves_scipy_unimported():
+    # the fit report's chi-square tail is closed form, so no runtime path loads scipy
+    script = (
+        "import sys; from spectrum_scope.cli import main; "
+        "code = main(['verify', '--level', 'quick']); assert 'scipy' not in sys.modules; sys.exit(code)"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], env=subprocess_env(), capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_throughput_report():

@@ -103,7 +103,7 @@ class TestSchurLog:
                 assert abs(got - expected) <= 1e-9
 
     def test_wide_spectrum_matches_exact_jacobi_trudi(self):
-        # q = r_4 / r_a down to 1/70: the top level sums in blocks of 9 to 18 rows
+        # q = r_j / r_a from 9/20 down to 1/70: the top level has q = 1/9, 1/20 and 1/70
         numerators = (70, 20, 9, 1)
         table = SchurTable(Spectrum(tuple(a / 100 for a in numerators)), 200)
         rows = all_rows(4, 200)[np.random.default_rng(43).choice(frame_count(4, 200), 40, replace=False)]
@@ -112,7 +112,12 @@ class TestSchurLog:
 
     @pytest.mark.parametrize(
         "values, boxes",
-        [((0.7, 0.2, 0.09, 0.01), 60), ((0.6, 0.3, 0.1), 120), ((0.4, 0.3, 0.2, 0.1, 0.0), 30)],
+        [
+            ((0.7, 0.2, 0.09, 0.01), 60),
+            ((0.6, 0.3, 0.1), 120),
+            ((0.4, 0.3, 0.2, 0.1, 0.0), 30),
+            ((0.375, 0.375, 0.125, 0.125), 60),
+        ],
     )
     def test_batch_does_not_move_a_bit(self, values, boxes):
         table = SchurTable(Spectrum(values), boxes)
@@ -122,7 +127,7 @@ class TestSchurLog:
         assert full.tobytes() == part.tobytes()
 
     def test_uniform_spectrum_at_the_table_cap(self):
-        # tied eigenvalues take the plain-cumsum path; s_Y(1/d, ..., 1/d) = dim V_Y / d^N
+        # every q is 1 (all eigenvalues tied); s_Y(1/d, ..., 1/d) = dim V_Y / d^N
         table = SchurTable(Spectrum((1 / 8,) * 8), 37)
         rows = all_rows(8, 37)
         for shape, got in zip(rows.tolist(), table.log_values(rows)):
@@ -349,7 +354,7 @@ class TestCharacterBounds:
                         assert character_bounds_check(frame, state).holds
 
     def test_one_tiny_eigenvalue(self):
-        # q = 2e-300: every block of the weighted prefix sum is one row wide
+        # q = 2e-300 at the top level: each weighted prefix sum rounds to its last term
         state = DiagonalState.from_spectrum(Spectrum((0.5, 0.5 - 1e-300, 1e-300)))
         for n in range(1, 31):
             for frame in enumerate_frames(3, n):
