@@ -95,6 +95,13 @@ def _dist_csv_text(header: Sequence[str], dist) -> str:
     return ",".join(header) + "\n" + "".join(lines)
 
 
+def _sample_csv_text(header: Sequence[str], frames, counts, frequencies) -> str:
+    """``_csv_text`` of the rows Y, count, frequency, built column by column."""
+    cells = [map(str, column) for column in zip(*frames)]
+    lines = map("{},{},{:.17g}\n".format, map(",".join, zip(*cells)), counts, frequencies)
+    return ",".join(header) + "\n" + "".join(lines)
+
+
 def _json_records_text(header: Sequence[str], rows: Sequence[Sequence]) -> str:
     records = [dict(zip(header, row)) for row in rows]
     return _render_json(records) + "\n"
@@ -241,13 +248,12 @@ def _cmd_sample(args: argparse.Namespace, argv: list[str]) -> int:
     )
     empirical = empirical_distribution(cfg, args.samples)
     header = [f"Y{j + 1}" for j in range(args.d)] + ["count", "frequency"]
-    rows = []
-    for frame_rows, freq in empirical.frequencies.items():
-        count = round(freq * args.samples)
-        rows.append(list(frame_rows) + [count, freq])
+    frequencies = list(empirical.frequencies.values())
+    counts = [round(freq * args.samples) for freq in frequencies]
     if args.format == "csv":
-        text = _csv_text(header, rows)
+        text = _sample_csv_text(header, list(empirical.frequencies), counts, frequencies)
     else:
+        rows = [list(frame) + [count, freq] for frame, count, freq in zip(empirical.frequencies, counts, frequencies)]
         text = _render_json(
             {
                 "samples": args.samples,

@@ -104,9 +104,11 @@ def legendre_of_cgf(s, r, *, max_iterations: int = 1000) -> LegendreResult:
     the same closed-form limit. On what is left, with tilted weights w, the
     gradient s - w sums to zero, so (diag(w) - w w^T)(s / w) = s - w and the
     Newton step is s / w centred to zero mean. It is formed in the log
-    domain, so no weight underflows, and scaled to max-norm at most 1. The
-    analytic optimizer ln(s_j/r_j) is used only in tests, as a convergence
-    certificate.
+    domain, so no weight underflows, and scaled to max-norm at most a cap.
+    The cap starts at 1 and doubles after each capped step taken whole, so a
+    tilt far from zero is reached in a number of steps logarithmic in its
+    size. The analytic optimizer ln(s_j/r_j) is used only in tests, as a
+    convergence certificate.
     """
     sv, rv = _values(s), _values(r)
     if len(sv) != len(rv):
@@ -127,6 +129,7 @@ def legendre_of_cgf(s, r, *, max_iterations: int = 1000) -> LegendreResult:
     eta = np.zeros(len(support))
     value, log_w = ascent_state(eta)
     iterations = 0
+    cap = 1.0
     while (grad_norm := float(np.abs(s_red - np.exp(log_w)).max())) > _LEGENDRE_TOLERANCE:
         if iterations >= max_iterations:
             raise ConvergenceError(
@@ -135,12 +138,15 @@ def legendre_of_cgf(s, r, *, max_iterations: int = 1000) -> LegendreResult:
                 last_iterate=tuple(eta),
             )
         # step is (s / w) e^-top, so exp cannot overflow where w is subnormal;
-        # dividing by max(e^-top, its max-norm) caps the centred s / w at max-norm 1
+        # dividing by max(e^-top, its max-norm / cap) caps the centred s / w at
+        # max-norm cap
         log_ratio = log_s - log_w
         top = float(log_ratio.max())
         step = np.exp(log_ratio - top)
         step -= step.mean()
-        step /= max(math.exp(-top), float(np.abs(step).max()))
+        norm = float(np.abs(step).max()) / cap
+        capped = norm > math.exp(-top)
+        step /= max(math.exp(-top), norm)
         # halve only on a genuine regression, since near the optimum the true
         # improvement drops below rounding
         scale = 1.0
@@ -150,6 +156,9 @@ def legendre_of_cgf(s, r, *, max_iterations: int = 1000) -> LegendreResult:
             new_value, new_log_w = ascent_state(eta + scale * step)
         eta, value, log_w = eta + scale * step, new_value, new_log_w
         iterations += 1
+        if capped and scale == 1.0:
+            # a capped step taken whole: the cap, not the curvature, set its length
+            cap *= 2.0
     full_eta = [NEG_INF] * len(sv)
     for j, e in zip(support, eta):
         full_eta[j] = float(e)

@@ -7,7 +7,11 @@ a tableau: by Greene's theorem the shape is the endpoint of the letter-count
 path after one Pitman transform per letter pair (O'Connell, Trans. AMS 355
 (2003); Biane-Bougerol-O'Connell, Duke Math. J. 130 (2005)). That is O(d^2)
 work per letter, vectorized across samples and streamed in time blocks of
-bounded size.
+about ``_BLOCK_CELLS`` letters (one step when a chain has more samples than
+that). Path state is int32, letters the smallest unsigned type that holds
+d - 1, and every block reuses the same buffers. The running sums and maxima
+down a block's time axis go row by row when the block has fewer steps than
+a row has cells, and by ``ufunc.accumulate`` otherwise.
 
 Chains run in sequence, each from its own counter-based Philox stream, so
 the 1 GiB chain cap ``MAX_CHAIN_BYTES`` is the sampler's peak. More chains
@@ -30,8 +34,11 @@ from .measure import SchurWeylDistribution
 
 # largest path state plus letter block one chain may allocate
 MAX_CHAIN_BYTES = 2**30
-# time steps x samples per streamed letter block
-_BLOCK_CELLS = 2**13
+# time steps x samples per streamed letter block: with 5,000 samples per d=3
+# chain, 2^14 was 10-30% slower and 2^16 no faster, with twice the buffers
+_BLOCK_CELLS = 2**15
+# path values reach N, held in int32
+_MAX_BOXES = 2**31 - 1
 
 
 @dataclass(frozen=True)
@@ -63,47 +70,78 @@ def _chain_rng(seed: int, chain: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(sequence))
 
 
+def _running(ufunc: np.ufunc, block: np.ndarray) -> None:
+    """``block[t] = ufunc(block[t - 1], block[t])`` down axis 0, in place.
+
+    ``ufunc.accumulate`` down a short axis 0 pays a fixed cost per column and
+    a row loop one per row, so a block with fewer steps than a row has cells
+    runs row by row. Over one row both are the identity.
+    """
+    if len(block) < block[0].size:
+        rows = list(block)
+        for prev, row in zip(rows, rows[1:]):
+            ufunc(prev, row, out=row)
+    else:
+        ufunc.accumulate(block, axis=0, out=block)
+
+
 def _word_shapes(blocks: Iterable[np.ndarray], d: int, count: int) -> np.ndarray:
     """Row-insertion shapes ``(count, d)`` of words given as ``(T, count)``
     blocks of 0-based letters, row ``t`` holding every word's next letter.
 
     The shape is the endpoint of the letter-count path ``x`` after, for each
-    pair ``i < j`` in lexicographic order, ``lift = max(0, running max of
-    x_i - x_j) - (x_i - x_j)``, ``x_i += lift``, ``x_j -= lift``. Every step
-    is causal, so blocks carry only the raw endpoints and the pair peaks.
+    pair ``i < j`` in lexicographic order, ``x_i, x_j = x_j + M, x_i - M``
+    with ``M = max(0, running max of x_i - x_j)``. Every step is causal, so
+    blocks carry only the raw endpoints and the pair peaks. Every path value
+    lies in [0, N], so the state is int32 for N < 2^31.
     """
-    ends = np.zeros((d, count), dtype=np.int64)
-    peaks = np.zeros((d * (d - 1) // 2, count), dtype=np.int64)
-    paths = ends[None]  # no blocks: every shape is empty
+    ends = np.zeros((d, count), dtype=np.int32)
+    peaks = np.zeros((d * (d - 1) // 2, count), dtype=np.int32)
+    rows = list(ends[:, None])  # no blocks: every shape is empty
+    size = 0
     for letters in blocks:
-        paths = (letters[:, None, :] == np.arange(d)[:, None]).astype(np.int64)
-        paths[0] += ends
-        single = len(letters) == 1  # accumulating one row is the identity
-        if not single:
-            np.add.accumulate(paths, axis=0, out=paths)
-        ends = paths[-1].copy()
+        steps = len(letters)
+        if steps > size:  # every block after the first is at most as long
+            size = steps
+            path_buffer = np.empty((d, size, count), dtype=np.int32)
+            peak_buffer = np.empty((size, count), dtype=np.int32)
+            spare_buffer = np.empty((size, count), dtype=np.int32)
+        paths, peak, spare = path_buffer[:, :steps], peak_buffer[:steps], spare_buffer[:steps]
+        np.equal(letters, np.arange(d, dtype=letters.dtype)[:, None, None], out=paths)
+        paths[:, 0] += ends
+        # rows[i] is the (T, count) path of coordinate i, contiguous
+        rows = list(paths)
+        for row in rows:
+            _running(np.add, row)
+        ends[...] = paths[:, -1]
         for pair, (i, j) in enumerate(itertools.combinations(range(d), 2)):
-            diff = paths[:, i] - paths[:, j]
-            lift = diff.copy()
-            np.maximum(lift[0], peaks[pair], out=lift[0])
-            if not single:
-                np.maximum.accumulate(lift, axis=0, out=lift)
-            peaks[pair] = lift[-1]
-            lift -= diff
-            paths[:, i] += lift
-            paths[:, j] -= lift
-    return paths[-1].T
+            np.subtract(rows[i], rows[j], out=peak)
+            np.maximum(peak[0], peaks[pair], out=peak[0])
+            _running(np.maximum, peak)
+            peaks[pair] = peak[-1]
+            np.add(rows[j], peak, out=spare)
+            np.subtract(rows[i], peak, out=rows[j])
+            rows[i], spare = spare, rows[i]
+    return np.stack([row[-1] for row in rows], axis=1)
 
 
 def _sample_shapes(cfg: SamplerConfig, chain: int, count: int) -> Counter:
     """Shape counts for one chain; vectorized across its samples."""
     d = cfg.d
+    if cfg.boxes > _MAX_BOXES:
+        raise ResourceLimitError(
+            f"{cfg.boxes} boxes overflow the sampler's 32-bit path state; the cap is {_MAX_BOXES}"
+        )
     steps = max(1, min(cfg.boxes, _BLOCK_CELLS // count))
-    # carried endpoints and pair peaks, then per block cell at the peak, while
-    # the next block's paths are built: d paths of it and d of the last one,
-    # the draw, the letter and two pair temporaries in 8 bytes each, and the
-    # d-letter one-hot mask in 1 byte each
-    needed = count * (8 * (d + d * (d - 1) // 2) + (8 * (2 * d + 4) + d) * steps)
+    letter_type = np.min_scalar_type(d - 1)
+    # per sample: the carried endpoints and pair peaks in 4 bytes each, and
+    # np.unique of the shapes (three int32 copies, a mask and two int64
+    # indices); per block cell: the draw in 8 bytes, its threshold mask in 1,
+    # the letter, and d paths and two pair rows in 4 bytes each; and numpy's
+    # cast buffers, getbufsize() elements of at most 8 bytes
+    per_sample = 4 * (d + d * (d - 1) // 2) + 12 * d + 17
+    per_cell = 9 + letter_type.itemsize + 4 * (d + 2)
+    needed = count * (per_sample + per_cell * steps) + 8 * np.getbufsize()
     if needed > MAX_CHAIN_BYTES:
         raise ResourceLimitError(
             f"one chain of {count} samples at d={d} needs {needed} bytes of "
@@ -111,16 +149,22 @@ def _sample_shapes(cfg: SamplerConfig, chain: int, count: int) -> Counter:
         )
     rng = _chain_rng(cfg.seed, chain)
     cumulative = np.cumsum(np.asarray(cfg.spectrum.values))
+    draws = np.empty((steps, count))
+    above = np.empty((steps, count), dtype=bool)
+    letters = np.empty((steps, count), dtype=letter_type)
 
     def letter_blocks() -> Iterator[np.ndarray]:
         # one (T, count) draw gives the same doubles as T draws of count;
         # the letter counts the first d-1 cumulative sums at or below the draw
         for start in range(0, cfg.boxes, steps):
-            draws = rng.random((min(steps, cfg.boxes - start), count))
-            letters = np.zeros(draws.shape, dtype=np.int64)
+            rows = min(steps, cfg.boxes - start)
+            draw, mask, letter = draws[:rows], above[:rows], letters[:rows]
+            rng.random(out=draw)
+            letter.fill(0)
             for threshold in cumulative[:-1]:
-                letters += draws >= threshold
-            yield letters
+                np.greater_equal(draw, threshold, out=mask)
+                letter += mask
+            yield letter
 
     shapes = _word_shapes(letter_blocks(), d, count)
     unique, multiplicities = np.unique(shapes, axis=0, return_counts=True)

@@ -14,7 +14,14 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import subprocess_env
 
-from spectrum_scope import ConvergenceError, Spectrum, YoungFrame, exact_distribution
+from spectrum_scope import (
+    ConvergenceError,
+    SamplerConfig,
+    Spectrum,
+    YoungFrame,
+    empirical_distribution,
+    exact_distribution,
+)
 from spectrum_scope import cli, ldp
 from spectrum_scope.cli import main, replay_manifest
 
@@ -339,6 +346,24 @@ class TestSample:
         args = ["sample", "--d", 3, "--n", 5, "--spectrum", "0.5,0.3,0.2", "--samples", 10**11]
         assert run(args + ["--out", out]) == 3
         assert list(tmp_path.iterdir()) == []
+
+    def test_box_count_past_int32_exit_code(self, tmp_path):
+        # the sampler's path state is int32, so N = 2^31 is refused before any draw
+        out = tmp_path / "s.csv"
+        args = ["sample", "--d", 3, "--n", 2**31, "--spectrum", "0.5,0.3,0.2", "--samples", 1]
+        assert run(args + ["--out", out]) == 3
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("d, n, values, chains", [(3, 40, (0.5, 0.3, 0.2), 2), (1, 0, (1.0,), 1)])
+    def test_csv_bytes_are_the_generic_writer_of_the_counts(self, tmp_path, d, n, values, chains):
+        out = tmp_path / "sample.csv"
+        argv = ["sample", "--d", d, "--n", n, "--spectrum", ",".join(map(str, values)), "--samples", 3000]
+        assert run(argv + ["--seed", 5, "--chains", chains, "--out", out]) == 0
+        cfg = SamplerConfig(d=d, boxes=n, spectrum=Spectrum(values), seed=5, chains=chains)
+        frequencies = empirical_distribution(cfg, 3000).frequencies
+        header = [f"Y{j + 1}" for j in range(d)] + ["count", "frequency"]
+        rows = [list(frame) + [round(freq * 3000), freq] for frame, freq in frequencies.items()]
+        assert out.read_bytes() == cli._csv_text(header, rows).encode()
 
     def test_rejects_zero_samples(self, tmp_path):
         assert run(["sample", "--d", 2, "--n", 3, "--spectrum", "0.5,0.5", "--samples", 0, "--out", tmp_path / "x.csv"]) == 2

@@ -168,6 +168,15 @@ class TestLegendre:
         s, r = Spectrum((0.6, 0.4)), Spectrum((1.0, 5e-324))
         assert legendre_of_cgf(s, r).value == pytest.approx(rate(s, r), abs=1e-8)
 
+    @pytest.mark.parametrize("tiny", [1e-300, 5e-324])
+    def test_far_optimum_in_few_steps(self, tiny):
+        # the optimal tilt spread is about |ln tiny| ~ 700; a step cap that
+        # doubles after each capped step reaches it in a few dozen steps
+        s, r = Spectrum((0.6, 0.4)), Spectrum((1.0, tiny))
+        result = legendre_of_cgf(s, r)
+        assert result.iterations <= 30
+        assert result.value == pytest.approx(rate(s, r), abs=1e-8)
+
     def test_budget_exhaustion_raises_with_iterate(self):
         with pytest.raises(ConvergenceError) as info:
             legendre_of_cgf(Spectrum((0.9, 0.1)), Spectrum((0.6, 0.4)), max_iterations=0)

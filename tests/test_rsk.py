@@ -119,6 +119,21 @@ class TestPathTransformKernel:
             expected = rsk_shape(word)
             assert tuple(shapes[sample]) == t.shape() == expected + (0,) * (d - len(expected))
 
+    @pytest.mark.parametrize(
+        "count, steps, length",
+        # 40-step blocks of 300 words take the running ops row by row;
+        # 60-step blocks of 3 words accumulate down the time axis
+        [(300, 40, 100), (3, 60, 150)],
+    )
+    def test_both_running_loops_match_insertion(self, count, steps, length):
+        d = 4
+        letters = np.random.default_rng(count).integers(0, d, size=(length, count), dtype=np.uint8)
+        blocks = [letters[start : start + steps] for start in range(0, length, steps)]
+        shapes = _word_shapes(blocks, d, count)
+        for sample in range(count):
+            expected = rsk_shape([int(letter) + 1 for letter in letters[:, sample]])
+            assert tuple(shapes[sample]) == expected + (0,) * (d - len(expected))
+
     @pytest.mark.parametrize("cells", [1, 7])
     def test_block_boundaries_do_not_move_counts(self, monkeypatch, cells):
         spectrum = Spectrum((0.4, 0.3, 0.2, 0.1))
@@ -161,6 +176,34 @@ class TestSampling:
     def test_counts_reproducible(self):
         cfg = SamplerConfig(d=3, boxes=10, spectrum=Spectrum((0.5, 0.3, 0.2)), seed=13, chains=4)
         assert sample_frame_counts(cfg, 5000) == sample_frame_counts(cfg, 5000)
+
+    def test_letters_past_eight_bits(self):
+        # at d = 257 the last letter is 256, which needs a 16-bit letter type
+        d, boxes, count = 257, 400, 3
+        cfg = SamplerConfig(d=d, boxes=boxes, spectrum=Spectrum((1 / d,) * d), seed=11)
+        draws = rsk._chain_rng(cfg.seed, 0).random((boxes, count))
+        words = (draws[:, :, None] >= np.cumsum(cfg.spectrum.values)[:-1]).sum(axis=2)
+        assert words.max() == d - 1
+        expected = Counter()
+        for sample in range(count):
+            shape = rsk_shape([int(letter) + 1 for letter in words[:, sample]])
+            expected[shape + (0,) * (d - len(shape))] += 1
+        assert rsk._sample_shapes(cfg, 0, count) == expected
+
+    def test_box_count_past_int32_rejected_before_allocating(self):
+        cfg = SamplerConfig(d=3, boxes=2**31, spectrum=Spectrum((0.5, 0.3, 0.2)), seed=1)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimitError, match="32-bit"):
+                sample_frame_counts(cfg, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**14
+        # one box fewer passes to the memory check
+        cfg = SamplerConfig(d=3, boxes=2**31 - 1, spectrum=Spectrum((0.5, 0.3, 0.2)), seed=1)
+        with pytest.raises(ResourceLimitError, match="bytes"):
+            sample_frame_counts(cfg, 10**11)
 
     def test_allocation_cap_checked_before_allocating(self):
         cfg = SamplerConfig(d=3, boxes=5, spectrum=Spectrum((0.5, 0.3, 0.2)), seed=1)
@@ -246,6 +289,20 @@ class TestEmpiricalDistribution:
         report = empirical_distribution(cfg, 100_000, exact=exact).fit
         assert report.p_value > 0.001
         assert report.tv_distance < 0.02
+
+    @pytest.mark.parametrize(
+        "d, boxes, samples",
+        # dimensions verify never samples, with 10 and 15 Pitman pairs per letter
+        [(5, 100, 40_000), (6, 60, 40_000)],
+    )
+    def test_chi_square_against_exact_at_higher_d(self, d, boxes, samples):
+        values = tuple(v / sum(range(1, d + 1)) for v in range(d, 0, -1))
+        spectrum = Spectrum(values)
+        exact = exact_distribution(d, boxes, spectrum)
+        cfg = SamplerConfig(d=d, boxes=boxes, spectrum=spectrum, seed=43, chains=3)
+        report = rsk._fit_report(sample_frame_counts(cfg, samples), samples, exact)
+        assert report.cells > 100
+        assert report.p_value > 0.001
 
     def test_fit_report_from_the_law_columns(self):
         # the same case, against the values of the frame-by-frame report
