@@ -10,26 +10,51 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import importlib
 import json
 import math
 import sys
 from fractions import Fraction
 from pathlib import Path
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from . import __version__
 from .errors import ConvergenceError, EmptyRegionError, ResourceLimitError
-from .frames import Spectrum, frame_to_estimate
-from .ldp import legendre_of_cgf, rate, rate_scan
-from .measure import BallComplement, distribution_mode, exact_distribution
-from .rsk import SamplerConfig, empirical_distribution
-from .verify import LEVELS, QUICK, report_dict, run_checks
+
+if TYPE_CHECKING:
+    from .frames import Spectrum
 
 EXIT_OK = 0
 EXIT_INVARIANT = 1
 EXIT_USAGE = 2
 EXIT_RESOURCE = 3
 EXIT_NO_CONVERGENCE = 4
+
+# the levels of ``verify.run_checks``, named here so that parsing loads no library module
+VERIFY_LEVELS = ("quick", "full")
+
+# each command's main library call by defining module. Commands import what
+# they run; these calls are resolved as attributes of this module on first
+# access (PEP 562), so a wrapper set here, as perfbench's tracer sets one, is
+# the one that runs
+_LIBRARY_CALLS = {
+    "exact_distribution": "measure",
+    "rate_scan": "ldp",
+    "empirical_distribution": "rsk",
+    "legendre_of_cgf": "ldp",
+    "run_checks": "verify",
+}
+
+
+def __getattr__(name: str):
+    if name not in _LIBRARY_CALLS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{_LIBRARY_CALLS[name]}", __package__), name)
+
+
+def _library_call(name: str):
+    """The library call ``name`` as this module's attribute now."""
+    return getattr(sys.modules[__name__], name)
 
 
 def _format_number(value) -> str:
@@ -139,6 +164,8 @@ class _UsageError(Exception):
 
 
 def _parse_spectrum(text: str, d: int, allow_unsorted: bool) -> Spectrum:
+    from .frames import Spectrum
+
     try:
         values = [float(part) for part in text.split(",")]
     except ValueError as exc:
@@ -177,11 +204,14 @@ def _exact_center(text: str) -> tuple[Fraction, ...]:
 
 
 def _cmd_dist(args: argparse.Namespace, argv: list[str]) -> int:
+    from .frames import frame_to_estimate
+    from .measure import distribution_mode
+
     spectrum_text = args.spectrum or ("1" if args.d == 1 else None)
     if spectrum_text is None:
         raise _UsageError("--spectrum is required for d > 1")
     spectrum = _parse_spectrum(spectrum_text, args.d, args.allow_unsorted)
-    dist = exact_distribution(args.d, args.n, spectrum)
+    dist = _library_call("exact_distribution")(args.d, args.n, spectrum)
     header = (
         [f"Y{j + 1}" for j in range(args.d)]
         + [f"est{j + 1}" for j in range(args.d)]
@@ -208,6 +238,8 @@ def _cmd_dist(args: argparse.Namespace, argv: list[str]) -> int:
 
 
 def _cmd_rate_scan(args: argparse.Namespace, argv: list[str]) -> int:
+    from .measure import BallComplement
+
     spectrum = _parse_spectrum(args.spectrum, args.d, args.allow_unsorted)
     try:
         epsilon = Fraction(args.epsilon)
@@ -221,7 +253,7 @@ def _cmd_rate_scan(args: argparse.Namespace, argv: list[str]) -> int:
         raise _UsageError("--n-list entries must be positive")
     # exact decimal region data, so boundary estimates classify exactly
     region = BallComplement(center=_exact_center(args.spectrum), radius=epsilon)
-    profile = rate_scan(args.d, spectrum, region, boxes_list)
+    profile = _library_call("rate_scan")(args.d, spectrum, region, boxes_list)
     target = profile.target
     header = ["N", "region_prob", "decay_rate", "target_rate"]
     rows = []
@@ -240,13 +272,15 @@ def _cmd_rate_scan(args: argparse.Namespace, argv: list[str]) -> int:
 
 
 def _cmd_sample(args: argparse.Namespace, argv: list[str]) -> int:
+    from .rsk import SamplerConfig
+
     spectrum = _parse_spectrum(args.spectrum, args.d, args.allow_unsorted)
     if args.samples < 1:
         raise _UsageError(f"--samples must be positive, got {args.samples}")
     cfg = SamplerConfig(
         d=args.d, boxes=args.n, spectrum=spectrum, seed=args.seed, chains=args.chains
     )
-    empirical = empirical_distribution(cfg, args.samples)
+    empirical = _library_call("empirical_distribution")(cfg, args.samples)
     header = [f"Y{j + 1}" for j in range(args.d)] + ["count", "frequency"]
     frequencies = list(empirical.frequencies.values())
     counts = [round(freq * args.samples) for freq in frequencies]
@@ -273,6 +307,8 @@ def _cmd_sample(args: argparse.Namespace, argv: list[str]) -> int:
 
 
 def _cmd_legendre(args: argparse.Namespace, argv: list[str]) -> int:
+    from .ldp import rate
+
     d = args.d
     spectrum = _parse_spectrum(args.spectrum, d, args.allow_unsorted)
     point = _parse_spectrum(args.s_point, d, args.allow_unsorted)
@@ -281,7 +317,7 @@ def _cmd_legendre(args: argparse.Namespace, argv: list[str]) -> int:
         raise _UsageError(
             "the rate is +inf: the point puts weight on a zero eigenvalue, and no finite tilt attains it"
         )
-    result = legendre_of_cgf(point, spectrum)
+    result = _library_call("legendre_of_cgf")(point, spectrum)
     header = (
         ["rate", "legendre_value", "difference"] + [f"eta{j + 1}" for j in range(d)]
     )
@@ -293,7 +329,9 @@ def _cmd_legendre(args: argparse.Namespace, argv: list[str]) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace, argv: list[str]) -> int:
-    results = run_checks(args.level)
+    from .verify import report_dict
+
+    results = _library_call("run_checks")(args.level)
     report = report_dict(args.level, results)
     data = _write_text(args.out, _render_json(report) + "\n")
     _write_manifest("verify", args, argv, data)
@@ -355,7 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_leg.set_defaults(func=_cmd_legendre)
 
     p_verify = sub.add_parser("verify", help="run the invariant self-checks")
-    p_verify.add_argument("--level", choices=LEVELS, default=QUICK)
+    p_verify.add_argument("--level", choices=VERIFY_LEVELS, default=VERIFY_LEVELS[0])
     p_verify.add_argument("--out", type=str, default=None, help="report path")
     p_verify.set_defaults(func=_cmd_verify)
 

@@ -8,36 +8,48 @@ path after one Pitman transform per letter pair (O'Connell, Trans. AMS 355
 (2003); Biane-Bougerol-O'Connell, Duke Math. J. 130 (2005)). That is O(d^2)
 work per letter, vectorized across samples and streamed in time blocks of
 about ``_BLOCK_CELLS`` letters (one step when a chain has more samples than
-that). Path state is int32, letters the smallest unsigned type that holds
-d - 1, and every block reuses the same buffers. The running sums and maxima
-down a block's time axis go row by row when the block has fewer steps than
-a row has cells, and by ``ufunc.accumulate`` otherwise.
+that). Path state is the smallest signed type that holds -N to N (int8 up
+to N = 127, int16 below N = 2^15, int32 up to the cap of 2^31 - 1), letters
+the smallest unsigned type that holds d - 1, and every block reuses the same
+buffers. The running sums and maxima down a block's time axis go row by row
+when the block has fewer steps than a row has cells, and by
+``ufunc.accumulate`` otherwise.
 
-Chains run in sequence, each from its own counter-based Philox stream, so
-the 1 GiB chain cap ``MAX_CHAIN_BYTES`` is the sampler's peak. More chains
-split the stream and bound memory; they do not add parallelism.
+Each chain draws from its own counter-based Philox stream. One helper thread
+fills the chain's raw 64-bit words one or two blocks ahead of the kernel;
+numpy fills them without holding the GIL, so on a second core the draws
+overlap the shape updates. Letters are counted on the words as integers,
+bit for bit the letters of ``Generator.random`` on the same stream. Chains
+run in sequence, so the 1 GiB chain cap ``MAX_CHAIN_BYTES`` bounds the
+sampler's peak. More chains split the stream and bound memory; they do not
+add parallelism.
 """
 from __future__ import annotations
 
 import itertools
 import math
+import queue
+import threading
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
 from .errors import ResourceLimitError
 from .frames import Spectrum
 from .logspace import log_sum_exp
-from .measure import SchurWeylDistribution
 
-# largest path state plus letter block one chain may allocate
+if TYPE_CHECKING:
+    from .measure import SchurWeylDistribution
+
+# largest path state, word and letter blocks and shape counts of one chain
 MAX_CHAIN_BYTES = 2**30
 # time steps x samples per streamed letter block: with 5,000 samples per d=3
 # chain, 2^14 was 10-30% slower and 2^16 no faster, with twice the buffers
 _BLOCK_CELLS = 2**15
-# path values reach N, held in int32
+# path values and pair differences lie in [-N, N], held in at most int32
 _MAX_BOXES = 2**31 - 1
 
 
@@ -85,7 +97,7 @@ def _running(ufunc: np.ufunc, block: np.ndarray) -> None:
         ufunc.accumulate(block, axis=0, out=block)
 
 
-def _word_shapes(blocks: Iterable[np.ndarray], d: int, count: int) -> np.ndarray:
+def _word_shapes(blocks: Iterable[np.ndarray], d: int, count: int, path_type: np.dtype) -> np.ndarray:
     """Row-insertion shapes ``(count, d)`` of words given as ``(T, count)``
     blocks of 0-based letters, row ``t`` holding every word's next letter.
 
@@ -93,19 +105,20 @@ def _word_shapes(blocks: Iterable[np.ndarray], d: int, count: int) -> np.ndarray
     pair ``i < j`` in lexicographic order, ``x_i, x_j = x_j + M, x_i - M``
     with ``M = max(0, running max of x_i - x_j)``. Every step is causal, so
     blocks carry only the raw endpoints and the pair peaks. Every path value
-    lies in [0, N], so the state is int32 for N < 2^31.
+    and pair difference lies in [-N, N], so the state is held in the signed
+    ``path_type`` that holds both ends.
     """
-    ends = np.zeros((d, count), dtype=np.int32)
-    peaks = np.zeros((d * (d - 1) // 2, count), dtype=np.int32)
+    ends = np.zeros((d, count), dtype=path_type)
+    peaks = np.zeros((d * (d - 1) // 2, count), dtype=path_type)
     rows = list(ends[:, None])  # no blocks: every shape is empty
     size = 0
     for letters in blocks:
         steps = len(letters)
         if steps > size:  # every block after the first is at most as long
             size = steps
-            path_buffer = np.empty((d, size, count), dtype=np.int32)
-            peak_buffer = np.empty((size, count), dtype=np.int32)
-            spare_buffer = np.empty((size, count), dtype=np.int32)
+            path_buffer = np.empty((d, size, count), dtype=path_type)
+            peak_buffer = np.empty((size, count), dtype=path_type)
+            spare_buffer = np.empty((size, count), dtype=path_type)
         paths, peak, spare = path_buffer[:, :steps], peak_buffer[:steps], spare_buffer[:steps]
         np.equal(letters, np.arange(d, dtype=letters.dtype)[:, None, None], out=paths)
         paths[:, 0] += ends
@@ -125,6 +138,60 @@ def _word_shapes(blocks: Iterable[np.ndarray], d: int, count: int) -> np.ndarray
     return np.stack([row[-1] for row in rows], axis=1)
 
 
+def _word_thresholds(values: Sequence[float]) -> np.ndarray:
+    """The raw Philox words at which the letter steps up, in increasing order.
+
+    The letter of a draw counts the first d-1 cumulative sums of ``values``
+    at or below it. ``Generator.random`` on Philox draws ``(u >> 11) 2^-53``
+    from the raw word u, so the draw is at least c < 1 exactly when
+    ``u >= ceil(c 2^53) << 11``, and never at least c >= 1.
+    """
+    cumulative = np.cumsum(np.asarray(values))[:-1]
+    return np.ceil(np.ldexp(cumulative[cumulative < 1], 53)).astype(np.uint64) << np.uint64(11)
+
+
+@contextmanager
+def _words_ahead(
+    bit_generator: np.random.BitGenerator, boxes: int, steps: int, count: int
+) -> Iterator[Iterator[np.ndarray]]:
+    """The raw 64-bit words of one chain as ``(T, count)`` blocks of at most
+    ``steps`` rows, in stream order, so row ``t`` holds every sample's next
+    word. One helper thread fills them one or two blocks ahead of the caller,
+    and numpy fills them without holding the GIL. The thread has ended when
+    the ``with`` block is left, also by an exception on either side.
+    """
+    starts = range(0, boxes, steps)
+    ahead: queue.Queue = queue.Queue(maxsize=1)
+    stop = threading.Event()
+
+    def fill() -> None:
+        try:
+            for start in starts:
+                if stop.is_set():
+                    return
+                rows = min(steps, boxes - start)
+                ahead.put(bit_generator.random_raw(rows * count).reshape(rows, count))
+        except Exception as exc:
+            ahead.put(exc)
+
+    def blocks() -> Iterator[np.ndarray]:
+        for _ in starts:
+            words = ahead.get()
+            if isinstance(words, Exception):
+                raise words
+            yield words
+
+    helper = threading.Thread(target=fill, name="philox-words", daemon=True)
+    helper.start()
+    try:
+        yield blocks()
+    finally:
+        stop.set()
+        while not ahead.empty():  # unblocks a put on a full queue
+            ahead.get_nowait()
+        helper.join()
+
+
 def _sample_shapes(cfg: SamplerConfig, chain: int, count: int) -> Counter:
     """Shape counts for one chain; vectorized across its samples."""
     d = cfg.d
@@ -134,39 +201,45 @@ def _sample_shapes(cfg: SamplerConfig, chain: int, count: int) -> Counter:
         )
     steps = max(1, min(cfg.boxes, _BLOCK_CELLS // count))
     letter_type = np.min_scalar_type(d - 1)
-    # per sample: the carried endpoints and pair peaks in 4 bytes each, and
-    # np.unique of the shapes (three int32 copies, a mask and two int64
-    # indices); per block cell: the draw in 8 bytes, its threshold mask in 1,
-    # the letter, and d paths and two pair rows in 4 bytes each; and numpy's
-    # cast buffers, getbufsize() elements of at most 8 bytes
-    per_sample = 4 * (d + d * (d - 1) // 2) + 12 * d + 17
-    per_cell = 9 + letter_type.itemsize + 4 * (d + 2)
-    needed = count * (per_sample + per_cell * steps) + 8 * np.getbufsize()
+    # the smallest signed type that holds -N - 1 holds [-N, N]
+    path_type = np.min_scalar_type(-cfg.boxes - 1)
+    state = path_type.itemsize
+    # per sample: the carried endpoints and pair peaks, and np.unique of the
+    # shapes (three copies, a mask and two int64 indices); per distinct shape
+    # (at most one per sample and one per weak composition of N into d
+    # parts): its count under a Python tuple key, measured at most 140 + 48d
+    # bytes; per block cell: the word in 8 bytes, three blocks at once
+    # (filling, queued, read), its threshold mask in 1, the letter, and d
+    # paths and two pair rows; and numpy's cast buffers, getbufsize()
+    # elements of at most 8 bytes
+    per_sample = state * (d + d * (d - 1) // 2) + 3 * state * d + 17
+    # the number of weak compositions is formed exactly only when it is small
+    log_compositions = math.lgamma(cfg.boxes + d) - math.lgamma(d) - math.lgamma(cfg.boxes + 1)
+    distinct = count
+    if log_compositions < math.log(count) + 1:
+        distinct = min(count, math.comb(cfg.boxes + d - 1, d - 1))
+    per_cell = 3 * 8 + 1 + letter_type.itemsize + state * (d + 2)
+    needed = count * (per_sample + per_cell * steps) + distinct * (140 + 48 * d) + 8 * np.getbufsize()
     if needed > MAX_CHAIN_BYTES:
         raise ResourceLimitError(
             f"one chain of {count} samples at d={d} needs {needed} bytes of "
-            f"path state and letter blocks, over the cap of {MAX_CHAIN_BYTES}"
+            f"path state, word and letter blocks and shape counts, over the cap of {MAX_CHAIN_BYTES}"
         )
-    rng = _chain_rng(cfg.seed, chain)
-    cumulative = np.cumsum(np.asarray(cfg.spectrum.values))
-    draws = np.empty((steps, count))
+    thresholds = _word_thresholds(cfg.spectrum.values)
     above = np.empty((steps, count), dtype=bool)
     letters = np.empty((steps, count), dtype=letter_type)
 
-    def letter_blocks() -> Iterator[np.ndarray]:
-        # one (T, count) draw gives the same doubles as T draws of count;
-        # the letter counts the first d-1 cumulative sums at or below the draw
-        for start in range(0, cfg.boxes, steps):
-            rows = min(steps, cfg.boxes - start)
-            draw, mask, letter = draws[:rows], above[:rows], letters[:rows]
-            rng.random(out=draw)
+    def letter_blocks(word_blocks: Iterator[np.ndarray]) -> Iterator[np.ndarray]:
+        for words in word_blocks:
+            mask, letter = above[: len(words)], letters[: len(words)]
             letter.fill(0)
-            for threshold in cumulative[:-1]:
-                np.greater_equal(draw, threshold, out=mask)
+            for threshold in thresholds:
+                np.greater_equal(words, threshold, out=mask)
                 letter += mask
             yield letter
 
-    shapes = _word_shapes(letter_blocks(), d, count)
+    with _words_ahead(_chain_rng(cfg.seed, chain).bit_generator, cfg.boxes, steps, count) as word_blocks:
+        shapes = _word_shapes(letter_blocks(word_blocks), d, count, path_type)
     unique, multiplicities = np.unique(shapes, axis=0, return_counts=True)
     return Counter(dict(zip(map(tuple, unique.tolist()), multiplicities.tolist())))
 

@@ -409,7 +409,7 @@ class TestLegendre:
         def explode(*args, **kwargs):
             raise ConvergenceError("no progress", last_iterate=(0.0, 0.0))
 
-        monkeypatch.setattr(cli, "legendre_of_cgf", explode)
+        monkeypatch.setattr(ldp, "legendre_of_cgf", explode)
         assert run(["legendre", "--d", 2, "--spectrum", "0.6,0.4", "--s-point", "0.8,0.2"]) == 4
 
 
@@ -426,3 +426,56 @@ class TestVerifyCommand:
             "duality",
             "sampler-equivalence",
         ]
+
+    def test_levels_are_the_checks_levels(self):
+        from spectrum_scope import verify
+
+        assert cli.VERIFY_LEVELS == verify.LEVELS
+        assert cli.VERIFY_LEVELS[0] == verify.QUICK
+
+
+# each command runs in a fresh process and must leave these modules unloaded
+_LOADING_SCRIPT = """
+import sys
+from spectrum_scope.cli import main
+
+absent, argv = sys.argv[1].split(","), sys.argv[2:]
+try:
+    code = main(argv)
+except SystemExit as stop:
+    code = stop.code
+loaded = [name for name in absent if name in sys.modules]
+sys.exit(f"loaded {loaded}" if loaded else code)
+"""
+
+
+class TestModuleLoading:
+    @pytest.mark.parametrize(
+        "argv, absent",
+        [
+            (["--version"], ["numpy"]),
+            (["dist", "--d", "3", "--n", "20", "--spectrum", "0.5,0.3,0.2"], ["ldp", "rsk", "verify"]),
+            (
+                ["sample", "--d", "3", "--n", "20", "--spectrum", "0.5,0.3,0.2", "--samples", "10"],
+                ["schur", "measure", "ldp", "verify"],
+            ),
+        ],
+        ids=["version", "dist", "sample"],
+    )
+    def test_command_loads_only_what_it_runs(self, tmp_path, argv, absent):
+        names = [name if name == "numpy" else f"spectrum_scope.{name}" for name in absent]
+        out = [] if argv == ["--version"] else ["--out", str(tmp_path / "out.csv")]
+        proc = subprocess.run(
+            [sys.executable, "-c", _LOADING_SCRIPT, ",".join(names), *argv, *out],
+            env=subprocess_env(), capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+
+    def test_every_export_resolves(self):
+        script = (
+            "import spectrum_scope; from spectrum_scope import *; "
+            "missing = [n for n in spectrum_scope.__all__ if n not in globals()]; "
+            "assert not missing, missing; assert set(spectrum_scope.__all__) <= set(dir(spectrum_scope))"
+        )
+        proc = subprocess.run([sys.executable, "-c", script], env=subprocess_env(), capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr

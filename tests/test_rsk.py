@@ -1,8 +1,10 @@
 import math
 import subprocess
 import sys
+import threading
 import tracemalloc
 from collections import Counter
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -110,14 +112,16 @@ class TestPathTransformKernel:
         flat = data.draw(st.lists(st.integers(0, d - 1), min_size=cells, max_size=cells))
         letters = np.array(flat, dtype=np.int64).reshape(length, count)
         blocks = [letters[start : start + steps] for start in range(0, length, steps)]
-        shapes = _word_shapes(blocks, d, count)
+        # the sampler holds paths in int8 up to N = 127, int16 below N = 2^15 and int32 above
+        shapes = {t: _word_shapes(blocks, d, count, t) for t in (np.int8, np.int16, np.int32)}
         for sample in range(count):
             word = [int(letter) + 1 for letter in letters[:, sample]]
             t = CompactTableau.empty(d)
             for letter in word:
                 t = insert_letter(t, letter)
             expected = rsk_shape(word)
-            assert tuple(shapes[sample]) == t.shape() == expected + (0,) * (d - len(expected))
+            for path_shapes in shapes.values():
+                assert tuple(path_shapes[sample]) == t.shape() == expected + (0,) * (d - len(expected))
 
     @pytest.mark.parametrize(
         "count, steps, length",
@@ -129,7 +133,7 @@ class TestPathTransformKernel:
         d = 4
         letters = np.random.default_rng(count).integers(0, d, size=(length, count), dtype=np.uint8)
         blocks = [letters[start : start + steps] for start in range(0, length, steps)]
-        shapes = _word_shapes(blocks, d, count)
+        shapes = _word_shapes(blocks, d, count, np.int16)
         for sample in range(count):
             expected = rsk_shape([int(letter) + 1 for letter in letters[:, sample]])
             assert tuple(shapes[sample]) == expected + (0,) * (d - len(expected))
@@ -258,6 +262,127 @@ class TestSampling:
         cfg = SamplerConfig(d=2, boxes=6, spectrum=Spectrum((0.8, 0.2)), seed=3, chains=3)
         counts = sample_frame_counts(cfg, 4321)
         assert sum(counts.values()) == 4321
+
+    @pytest.mark.parametrize("boxes", [2**15 - 1, 2**15])
+    def test_path_type_boundary(self, boxes):
+        # int16 holds every path value up to N = 2^15 - 1; one box more takes
+        # int32. The draws never reach a cumulative sum of 1, so every letter is 0
+        cfg = SamplerConfig(d=3, boxes=boxes, spectrum=Spectrum((1.0, 0.0, 0.0)), seed=2, chains=2)
+        assert sample_frame_counts(cfg, 4) == Counter({(boxes, 0, 0): 4})
+
+    def test_checked_bytes_cover_the_counted_shapes(self, monkeypatch):
+        # at d = 8 nearly every one of 10,000 samples has its own shape, and
+        # the Counter of their tuples outweighs the int16 path state
+        d, count = 8, 10_000
+        values = tuple(v / sum(range(1, d + 1)) for v in range(d, 0, -1))
+        cfg = SamplerConfig(d=d, boxes=300, spectrum=Spectrum(values), seed=5)
+        tracemalloc.start()
+        try:
+            counts = rsk._sample_shapes(cfg, 0, count)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(counts) > count // 2
+        monkeypatch.setattr(rsk, "MAX_CHAIN_BYTES", peak - 2**14)
+        with pytest.raises(ResourceLimitError):
+            rsk._sample_shapes(cfg, 0, count)
+
+
+class TestWordLetters:
+    def test_thresholds_split_the_draws_exactly(self):
+        # at each threshold word the draw is at or above its cumulative sum,
+        # and one word below it is under; sums at 1 after rounding never step.
+        # Sums below 1/2 have bits under 2^-53, where the threshold rounds up
+        below_one = 1 - 2**-53
+        spectra = [(0.5, 0.3, 0.2), (0.4, 0.3, 0.2, 0.1), (0.2,) * 5, (below_one, 2**-53, 0.0), (1.0, 1e-17, 0.0)]
+        for values in spectra + [(1e-20, 1 - 1e-20), (0.0, 0.0, 1.0)]:
+            cumulative = np.cumsum(values)[:-1]
+            thresholds = rsk._word_thresholds(values)
+            assert len(thresholds) == int((cumulative < 1).sum())
+            for c, word in zip(cumulative, thresholds.tolist()):
+                assert (word >> 11) * 2**-53 >= c
+                assert word == 0 or ((word - 1) >> 11) * 2**-53 < c
+
+    def test_letters_match_generator_random(self, monkeypatch):
+        # the letters counted on raw words are those of Generator.random draws
+        # on the same (seed, chain), over spectra with zero entries and
+        # cumulative sums that round to 1
+        rng = np.random.default_rng(23)
+        spectra = [tuple(rng.dirichlet(np.full(d, alpha))) for d in (2, 3, 5, 9) for alpha in (0.05, 1.0)]
+        spectra += [(0.5, 0.5, 0.0, 0.0), (1.0, 1e-17, 0.0), (0.6, 0.4 - 2**-54, 2**-54), (0.25,) * 4]
+        captured = []
+
+        def capture(blocks, d, count, path_type):
+            captured.extend(block.copy() for block in blocks)
+            return np.zeros((count, d), dtype=path_type)
+
+        monkeypatch.setattr(rsk, "_word_shapes", capture)
+        for seed, values in enumerate(spectra):
+            d, boxes, count, chain = len(values), 50, 700, seed % 3
+            cfg = SamplerConfig(d=d, boxes=boxes, spectrum=Spectrum.from_unsorted(values), seed=seed)
+            captured.clear()
+            rsk._sample_shapes(cfg, chain, count)
+            draws = rsk._chain_rng(seed, chain).random((boxes, count))
+            expected = (draws[:, :, None] >= np.cumsum(cfg.spectrum.values)[:-1]).sum(axis=2)
+            assert np.array_equal(np.concatenate(captured), expected), values
+
+
+class TestWordThread:
+    cfg = SamplerConfig(d=3, boxes=1000, spectrum=Spectrum((0.5, 0.3, 0.2)), seed=1)
+
+    def test_kernel_error_stops_the_word_thread(self, monkeypatch):
+        def fail_after_first_block(blocks, d, count, path_type):
+            next(iter(blocks))
+            raise RuntimeError("kernel failed")
+
+        monkeypatch.setattr(rsk, "_word_shapes", fail_after_first_block)
+        baseline = threading.active_count()
+        with pytest.raises(RuntimeError, match="kernel failed"):
+            rsk._sample_shapes(self.cfg, 0, 5000)
+        assert threading.active_count() == baseline
+
+    def test_blocks_arrive_whole_and_in_order_under_fast_switching(self):
+        # the helper thread hands blocks to the kernel through a queue; with
+        # the interpreter switching threads every microsecond, no block may
+        # be lost, repeated or reordered
+        count = 2000  # 63 blocks of at most 16 steps
+        draws = rsk._chain_rng(self.cfg.seed, 0).random((self.cfg.boxes, count))
+        letters = (draws[:, :, None] >= np.cumsum(self.cfg.spectrum.values)[:-1]).sum(axis=2)
+        shapes = _word_shapes([letters], self.cfg.d, count, np.int32)
+        expected = Counter(map(tuple, shapes.tolist()))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            assert rsk._sample_shapes(self.cfg, 0, count) == expected
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_word_error_reaches_the_caller(self, monkeypatch):
+        class FailsOnSecondBlock:
+            blocks = 0
+
+            def random_raw(self, size):
+                self.blocks += 1
+                if self.blocks > 1:
+                    raise RuntimeError("words failed")
+                return np.zeros(size, dtype=np.uint64)
+
+        monkeypatch.setattr(rsk, "_chain_rng", lambda seed, chain: SimpleNamespace(bit_generator=FailsOnSecondBlock()))
+        raised = []
+
+        def sample():
+            try:
+                rsk._sample_shapes(self.cfg, 0, 5000)
+            except RuntimeError as exc:
+                raised.append(str(exc))
+
+        baseline = threading.active_count()
+        watcher = threading.Thread(target=sample, daemon=True)
+        watcher.start()
+        watcher.join(timeout=60)
+        assert not watcher.is_alive(), "the sampler hangs after a failed word block"
+        assert raised == ["words failed"]
+        assert threading.active_count() == baseline
 
 
 class TestEmpiricalDistribution:
