@@ -186,6 +186,15 @@ def _parse_spectrum(text: str, d: int, allow_unsorted: bool) -> Spectrum:
     return Spectrum.from_unsorted(values)
 
 
+def _spectrum_text(args: argparse.Namespace) -> str:
+    """The ``--spectrum`` text; a one-level system has only the spectrum "1"."""
+    if args.spectrum is not None:
+        return args.spectrum
+    if args.d == 1:
+        return "1"
+    raise _UsageError("--spectrum is required for d > 1")
+
+
 def _parse_int_list(text: str) -> list[int]:
     try:
         return [int(part) for part in text.split(",")]
@@ -207,10 +216,7 @@ def _cmd_dist(args: argparse.Namespace, argv: list[str]) -> int:
     from .frames import frame_to_estimate
     from .measure import distribution_mode
 
-    spectrum_text = args.spectrum or ("1" if args.d == 1 else None)
-    if spectrum_text is None:
-        raise _UsageError("--spectrum is required for d > 1")
-    spectrum = _parse_spectrum(spectrum_text, args.d, args.allow_unsorted)
+    spectrum = _parse_spectrum(_spectrum_text(args), args.d, args.allow_unsorted)
     dist = _library_call("exact_distribution")(args.d, args.n, spectrum)
     header = (
         [f"Y{j + 1}" for j in range(args.d)]
@@ -240,7 +246,8 @@ def _cmd_dist(args: argparse.Namespace, argv: list[str]) -> int:
 def _cmd_rate_scan(args: argparse.Namespace, argv: list[str]) -> int:
     from .measure import BallComplement
 
-    spectrum = _parse_spectrum(args.spectrum, args.d, args.allow_unsorted)
+    spectrum_text = _spectrum_text(args)
+    spectrum = _parse_spectrum(spectrum_text, args.d, args.allow_unsorted)
     try:
         epsilon = Fraction(args.epsilon)
         float(epsilon)  # the rate infimum takes the radius as a float
@@ -252,7 +259,7 @@ def _cmd_rate_scan(args: argparse.Namespace, argv: list[str]) -> int:
     if any(n < 1 for n in boxes_list):
         raise _UsageError("--n-list entries must be positive")
     # exact decimal region data, so boundary estimates classify exactly
-    region = BallComplement(center=_exact_center(args.spectrum), radius=epsilon)
+    region = BallComplement(center=_exact_center(spectrum_text), radius=epsilon)
     profile = _library_call("rate_scan")(args.d, spectrum, region, boxes_list)
     target = profile.target
     header = ["N", "region_prob", "decay_rate", "target_rate"]
@@ -274,7 +281,7 @@ def _cmd_rate_scan(args: argparse.Namespace, argv: list[str]) -> int:
 def _cmd_sample(args: argparse.Namespace, argv: list[str]) -> int:
     from .rsk import SamplerConfig
 
-    spectrum = _parse_spectrum(args.spectrum, args.d, args.allow_unsorted)
+    spectrum = _parse_spectrum(_spectrum_text(args), args.d, args.allow_unsorted)
     if args.samples < 1:
         raise _UsageError(f"--samples must be positive, got {args.samples}")
     cfg = SamplerConfig(
@@ -310,7 +317,7 @@ def _cmd_legendre(args: argparse.Namespace, argv: list[str]) -> int:
     from .ldp import rate
 
     d = args.d
-    spectrum = _parse_spectrum(args.spectrum, d, args.allow_unsorted)
+    spectrum = _parse_spectrum(_spectrum_text(args), d, args.allow_unsorted)
     point = _parse_spectrum(args.s_point, d, args.allow_unsorted)
     rate_value = rate(point, spectrum)
     if math.isinf(rate_value):
@@ -384,12 +391,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sample.set_defaults(func=_cmd_sample)
 
     p_leg = sub.add_parser("legendre", help="rate vs. tilt-maximization at one point")
-    p_leg.add_argument("--d", type=int, required=True)
-    p_leg.add_argument("--spectrum", type=str, required=True)
+    add_common(p_leg, with_n=False, out_required=False)
     p_leg.add_argument("--s-point", type=str, required=True, help="evaluation point")
-    p_leg.add_argument("--allow-unsorted", action="store_true")
-    p_leg.add_argument("--format", choices=("csv", "json"), default="csv")
-    p_leg.add_argument("--out", type=str, default=None)
     p_leg.set_defaults(func=_cmd_legendre)
 
     p_verify = sub.add_parser("verify", help="run the invariant self-checks")

@@ -172,35 +172,39 @@ def frame_count(d: int, boxes: int) -> int:
     return ways[boxes]
 
 
-def _vandermonde(shifted: Sequence[int]) -> int:
-    """Product of l_i - l_j over i < j, in exact integer arithmetic."""
-    product = 1
-    for i, upper in enumerate(shifted):
-        for lower in shifted[i + 1 :]:
-            product *= upper - lower
-    return product
+def _vandermondes(shifted: np.ndarray) -> np.ndarray:
+    """Product of l_i - l_j over i < j for each row of ``shifted`` (int, F x c), exact Python ints (F,)."""
+    products = np.ones(len(shifted), dtype=object)
+    for i in range(shifted.shape[1]):
+        for j in range(i + 1, shifted.shape[1]):
+            products *= (shifted[:, i] - shifted[:, j]).astype(object)
+    return products
 
 
-def _shifted_rows(rows: Sequence[int]) -> tuple[int, ...]:
-    """Strictly decreasing l_i = Y_i + d - 1 - i of the Frobenius and Weyl formulas."""
-    d = len(rows)
-    return tuple(value + d - 1 - i for i, value in enumerate(rows))
-
-
-def frobenius_dim(rows: Sequence[int]) -> int:
-    """Number of standard tableaux of the shape ``rows`` (exact integer arithmetic).
+def frobenius_dims(rows: np.ndarray, boxes: int) -> np.ndarray:
+    """f^Y for each frame of ``rows`` (int, F x d, each row summing to ``boxes``), exact Python ints (F,).
 
     Frobenius: f^Y = N! prod_{i<j}(l_i - l_j) / prod_i l_i!, with
-    l_i = Y_i + c - 1 - i over the c given rows (Fulton & Harris, 4.1).
-    Appended zero rows leave it unchanged, so pass only the nonzero ones.
+    l_i = Y_i + w - 1 - i over the first w = min(d, N) columns, which hold
+    every nonzero row (Fulton & Harris, 4.1); one factorial table serves
+    every frame.
     """
-    shifted = _shifted_rows(rows)
-    return math.factorial(sum(rows)) * _vandermonde(shifted) // math.prod(map(math.factorial, shifted))
+    # the factorial table reaches l_0 <= N + width - 1
+    width = min(rows.shape[1], boxes)
+    factorials = np.array(
+        list(itertools.accumulate(range(1, boxes + width), operator.mul, initial=1)), dtype=object
+    )
+    shifted = rows[:, :width] + np.arange(width - 1, -1, -1)
+    denominators = np.ones(len(rows), dtype=object)
+    for column in shifted.T:
+        denominators *= factorials[column]
+    return factorials[boxes] * _vandermondes(shifted) // denominators
 
 
 def dim_symmetric_irrep(frame: YoungFrame) -> int:
-    """Number of standard tableaux of this shape: ``frobenius_dim`` of its nonzero rows."""
-    return frobenius_dim(frame.rows[: frame.nonzero_rows()])
+    """Number of standard tableaux of this shape: ``frobenius_dims`` of its nonzero rows."""
+    rows = np.array([frame.rows[: frame.nonzero_rows()]], dtype=np.int64)
+    return frobenius_dims(rows, frame.boxes)[0]
 
 
 def log_dim_symmetric_irrep(frame: YoungFrame) -> float:
@@ -210,26 +214,13 @@ def log_dim_symmetric_irrep(frame: YoungFrame) -> float:
 def log_frobenius_dims(rows: np.ndarray, boxes: int) -> np.ndarray:
     """ln f^Y for each frame of ``rows`` (int, F x d, each row summing to ``boxes``), float64 (F,).
 
-    The exact Frobenius integers of ``frobenius_dim``, built column by column
-    as Python-int object arrays over one factorial table, ``_CHUNK_ROWS``
-    frames at a time so the big numerators and denominators stay small.
+    ``frobenius_dims`` ``_CHUNK_ROWS`` frames at a time, so the big
+    numerators and denominators stay small.
     """
-    # every nonzero row lies in the first min(d, N) columns; l_0 <= N + width - 1
-    width = min(rows.shape[1], boxes)
-    factorials = np.array(
-        list(itertools.accumulate(range(1, boxes + width), operator.mul, initial=1)), dtype=object
-    )
-    shifted = rows[:, :width] + np.arange(width - 1, -1, -1)
     logs = np.empty(len(rows))
     for start in range(0, len(rows), _CHUNK_ROWS):
-        chunk = shifted[start : start + _CHUNK_ROWS]
-        numerators = np.full(len(chunk), factorials[boxes], dtype=object)
-        denominators = np.ones(len(chunk), dtype=object)
-        for i in range(width):
-            denominators *= factorials[chunk[:, i]]
-            for j in range(i + 1, width):
-                numerators *= (chunk[:, i] - chunk[:, j]).astype(object)
-        logs[start : start + len(chunk)] = list(map(math.log, numerators // denominators))
+        dims = frobenius_dims(rows[start : start + _CHUNK_ROWS], boxes)
+        logs[start : start + len(dims)] = list(map(math.log, dims))
     return logs
 
 
@@ -245,8 +236,8 @@ def dim_unitary_irrep(frame: YoungFrame, d: int | None = None) -> int:
         d = frame.d
     if frame.nonzero_rows() > d:
         raise ValueError(f"frame {frame} has more than {d} nonzero rows")
-    numerator = _vandermonde(_shifted_rows((frame.rows + (0,) * d)[:d]))
-    denominator = _vandermonde(range(d - 1, -1, -1))
+    rows = np.array([(frame.rows + (0,) * d)[:d], [0] * d], dtype=np.int64)
+    numerator, denominator = _vandermondes(rows + np.arange(d - 1, -1, -1))
     if numerator % denominator != 0:
         raise AssertionError("Weyl dimension product must divide exactly")
     return numerator // denominator

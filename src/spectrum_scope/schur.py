@@ -34,6 +34,8 @@ CYCLE_SUM_MAX_BOXES = 8
 #: Cap on the top cube of a SchurTable plus its largest crop, 16 * prod of the
 #: staircase sides, checked before allocation.
 MAX_TABLE_BYTES = 2**29
+# rounding allowance on each side of the highest-weight sandwich in ``character_bounds_check``
+_BOUNDS_SLACK = 1e-10
 
 
 @dataclass(frozen=True)
@@ -256,9 +258,7 @@ class CharacterBounds:
     holds: bool
 
 
-def character_bounds_check(
-    frame: YoungFrame, state: DiagonalState, *, slack: float = 1e-10
-) -> CharacterBounds:
+def character_bounds_check(frame: YoungFrame, state: DiagonalState) -> CharacterBounds:
     """Check exp(Y.h) <= character <= dim * exp(Y.h) for a diagonal state."""
     d = state.d
     if frame.nonzero_rows() > d:
@@ -267,7 +267,7 @@ def character_bounds_check(
     lower = float(weighted_dots([rows], state.log_eigenvalues)[0])
     upper = lower + log_dim_unitary_irrep(frame, d)
     value = schur_log(YoungFrame(rows), state.to_spectrum())
-    holds = (lower - slack <= value) and (value <= upper + slack)
+    holds = (lower - _BOUNDS_SLACK <= value) and (value <= upper + _BOUNDS_SLACK)
     return CharacterBounds(lower=lower, value=value, upper=upper, holds=holds)
 
 

@@ -165,6 +165,22 @@ def test_overflowing_input_writes_nothing(tmp_path, command):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["dist", "--n", 3],
+        ["sample", "--n", 3, "--samples", 2],
+        ["rate-scan", "--epsilon", "0.1", "--n-list", "10"],
+        ["legendre", "--s-point", "0.6,0.4"],
+    ],
+    ids=lambda command: command[0],
+)
+def test_missing_spectrum_above_one_level_is_bad_input(tmp_path, capsys, command):
+    assert run(command + ["--d", 2, "--out", tmp_path / "out.csv"]) == 2
+    assert capsys.readouterr().err == "error: --spectrum is required for d > 1\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def _exit_code(argv):
     try:
         return main(argv)
@@ -364,6 +380,11 @@ class TestSample:
         header = [f"Y{j + 1}" for j in range(d)] + ["count", "frequency"]
         rows = [list(frame) + [round(freq * 3000), freq] for frame, freq in frequencies.items()]
         assert out.read_bytes() == cli._csv_text(header, rows).encode()
+
+    def test_single_level_needs_no_spectrum(self, tmp_path):
+        out = tmp_path / "sample.csv"
+        assert run(["sample", "--d", 1, "--n", 3, "--samples", 2, "--out", out]) == 0
+        assert out.read_text() == "Y1,count,frequency\n3,2,1\n"
 
     def test_rejects_zero_samples(self, tmp_path):
         assert run(["sample", "--d", 2, "--n", 3, "--spectrum", "0.5,0.5", "--samples", 0, "--out", tmp_path / "x.csv"]) == 2

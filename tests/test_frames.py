@@ -30,7 +30,7 @@ from spectrum_scope import (
     log_dim_symmetric_irrep,
     log_dim_unitary_irrep,
 )
-from spectrum_scope.frames import _CHUNK_ROWS, log_frobenius_dims
+from spectrum_scope.frames import _CHUNK_ROWS, frobenius_dims, log_frobenius_dims
 
 
 class TestEnumeration:
@@ -155,17 +155,20 @@ class TestSymmetricDimension:
         rows = frame_rows(d, n)
         logs = log_frobenius_dims(rows, n)
         assert logs.dtype == np.float64 and logs.shape == (len(rows),)
-        assert logs.tolist() == [math.log(hook_length_count(r)) for r in rows.tolist()]
+        counts = [hook_length_count(r) for r in rows.tolist()]
+        assert frobenius_dims(rows, n).tolist() == counts
+        assert logs.tolist() == list(map(math.log, counts))
         if (d, n) == (3, 400):
             assert len(rows) > _CHUNK_ROWS
 
     def test_log_path_matches_exact_path(self):
-        # the exact integer stays available far beyond float range; the log
-        # paths must agree wherever both are defined, i.e. everywhere
+        # the exact integer stays available far beyond float range; both log
+        # paths take the log of that one integer, so they agree bit for bit
         for rows in [(3, 1), (10, 5, 2), (40, 30, 20, 10), (200, 120, 60, 20)]:
             frame = YoungFrame(rows)
             exact = math.log(dim_symmetric_irrep(frame))
-            assert log_dim_symmetric_irrep(frame) == pytest.approx(exact, abs=1e-9)
+            assert log_dim_symmetric_irrep(frame) == exact
+            assert log_frobenius_dims(np.array([rows]), frame.boxes).tolist() == [exact]
 
 
 class TestSpectrumValidation:
