@@ -172,15 +172,6 @@ def frame_count(d: int, boxes: int) -> int:
     return ways[boxes]
 
 
-def _vandermondes(shifted: np.ndarray) -> np.ndarray:
-    """Product of l_i - l_j over i < j for each row of ``shifted`` (int, F x c), exact Python ints (F,)."""
-    products = np.ones(len(shifted), dtype=object)
-    for i in range(shifted.shape[1]):
-        for j in range(i + 1, shifted.shape[1]):
-            products *= (shifted[:, i] - shifted[:, j]).astype(object)
-    return products
-
-
 def frobenius_dims(rows: np.ndarray, boxes: int) -> np.ndarray:
     """f^Y for each frame of ``rows`` (int, F x d, each row summing to ``boxes``), exact Python ints (F,).
 
@@ -195,10 +186,13 @@ def frobenius_dims(rows: np.ndarray, boxes: int) -> np.ndarray:
         list(itertools.accumulate(range(1, boxes + width), operator.mul, initial=1)), dtype=object
     )
     shifted = rows[:, :width] + np.arange(width - 1, -1, -1)
+    vandermondes = np.ones(len(rows), dtype=object)
     denominators = np.ones(len(rows), dtype=object)
-    for column in shifted.T:
+    for i, column in enumerate(shifted.T):
         denominators *= factorials[column]
-    return factorials[boxes] * _vandermondes(shifted) // denominators
+        for later in shifted.T[i + 1 :]:
+            vandermondes *= (column - later).astype(object)
+    return factorials[boxes] * vandermondes // denominators
 
 
 def dim_symmetric_irrep(frame: YoungFrame) -> int:
@@ -227,20 +221,21 @@ def log_frobenius_dims(rows: np.ndarray, boxes: int) -> np.ndarray:
 def dim_unitary_irrep(frame: YoungFrame, d: int | None = None) -> int:
     """Dimension of the unitary-group irrep with this highest weight.
 
-    Weyl: prod_{i<j} (Y_i - Y_j + j - i)/(j - i). Since Y_i - Y_j + j - i =
-    l_i - l_j, this is the Vandermonde of the shifted rows over that of the
-    empty frame, in exact integer arithmetic; ``d`` defaults to the frame's
-    row count and may pad extra zero rows.
+    Hook-content: dim V_Y is the product over boxes (i, j), 0-based, of
+    (d + j - i) over the hook length, and f^Y = N! / prod of the hook
+    lengths, so dim V_Y = f^Y prod (d + j - i) / N!: one Frobenius integer
+    and N factors for any d. ``d`` defaults to the frame's row count and may
+    pad extra zero rows.
     """
     if d is None:
         d = frame.d
     if frame.nonzero_rows() > d:
         raise ValueError(f"frame {frame} has more than {d} nonzero rows")
-    rows = np.array([(frame.rows + (0,) * d)[:d], [0] * d], dtype=np.int64)
-    numerator, denominator = _vandermondes(rows + np.arange(d - 1, -1, -1))
-    if numerator % denominator != 0:
+    contents = math.prod(math.prod(range(d - i, d - i + row)) for i, row in enumerate(frame.rows) if row)
+    dimension, remainder = divmod(dim_symmetric_irrep(frame) * contents, math.factorial(frame.boxes))
+    if remainder:
         raise AssertionError("Weyl dimension product must divide exactly")
-    return numerator // denominator
+    return dimension
 
 
 def log_dim_unitary_irrep(frame: YoungFrame, d: int | None = None) -> float:

@@ -9,20 +9,19 @@ path after one Pitman transform per letter pair (O'Connell, Trans. AMS 355
 work per letter, vectorized across samples and streamed in time blocks of
 about ``_BLOCK_CELLS`` letters (one step when a chain has more samples than
 that). Path state is the smallest signed type that holds -N to N (int8 up
-to N = 127, int16 below N = 2^15, int32 up to the cap of 2^31 - 1), letters
-the smallest unsigned type that holds d - 1, and every block reuses the same
-buffers. The running sums and maxima down a block's time axis go row by row
-when the block has fewer steps than a row has cells, and by
-``ufunc.accumulate`` otherwise.
+to N = 127, int16 below N = 2^15, int32 up to the cap of 2^31 - 1), and
+every block reuses the same buffers. The running sums and maxima down a
+block's time axis go row by row when the block has fewer steps than a row
+has cells, and by ``ufunc.accumulate`` otherwise.
 
 Each chain draws from its own counter-based Philox stream. One helper thread
 fills the chain's raw 64-bit words one or two blocks ahead of the kernel;
 numpy fills them without holding the GIL, so on a second core the draws
-overlap the shape updates. Letters are counted on the words as integers,
-bit for bit the letters of ``Generator.random`` on the same stream. Chains
-run in sequence, so the 1 GiB chain cap ``MAX_CHAIN_BYTES`` bounds the
-sampler's peak. More chains split the stream and bound memory; they do not
-add parallelism.
+overlap the shape updates. The kernel reads the letter-count path off the
+words by integer threshold compares, bit for bit the letters of
+``Generator.random`` on the same stream. Chains run in sequence, so the
+1 GiB chain cap ``MAX_CHAIN_BYTES`` bounds the sampler's peak. More chains
+split the stream and bound memory; they do not add parallelism.
 """
 from __future__ import annotations
 
@@ -44,9 +43,9 @@ from .logspace import log_sum_exp
 if TYPE_CHECKING:
     from .measure import SchurWeylDistribution
 
-# largest path state, word and letter blocks and shape counts of one chain
+# largest path state, word blocks and shape counts of one chain
 MAX_CHAIN_BYTES = 2**30
-# time steps x samples per streamed letter block: with 5,000 samples per d=3
+# time steps x samples per streamed word block: with 5,000 samples per d=3
 # chain, 2^14 was 10-30% slower and 2^16 no faster, with twice the buffers
 _BLOCK_CELLS = 2**15
 # path values and pair differences lie in [-N, N], held in at most int32
@@ -97,9 +96,13 @@ def _running(ufunc: np.ufunc, block: np.ndarray) -> None:
         ufunc.accumulate(block, axis=0, out=block)
 
 
-def _word_shapes(blocks: Iterable[np.ndarray], d: int, count: int, path_type: np.dtype) -> np.ndarray:
+def _word_shapes(
+    blocks: Iterable[np.ndarray], thresholds: np.ndarray, d: int, count: int, path_type: np.dtype
+) -> np.ndarray:
     """Row-insertion shapes ``(count, d)`` of words given as ``(T, count)``
-    blocks of 0-based letters, row ``t`` holding every word's next letter.
+    blocks of raw 64-bit words, row ``t`` holding every sample's next one.
+    The 0-based letter of a raw word counts the ascending ``thresholds`` at
+    or below it, so d - 1 thresholds give every letter.
 
     The shape is the endpoint of the letter-count path ``x`` after, for each
     pair ``i < j`` in lexicographic order, ``x_i, x_j = x_j + M, x_i - M``
@@ -112,15 +115,22 @@ def _word_shapes(blocks: Iterable[np.ndarray], d: int, count: int, path_type: np
     peaks = np.zeros((d * (d - 1) // 2, count), dtype=path_type)
     rows = list(ends[:, None])  # no blocks: every shape is empty
     size = 0
-    for letters in blocks:
-        steps = len(letters)
+    for words in blocks:
+        steps = len(words)
         if steps > size:  # every block after the first is at most as long
             size = steps
             path_buffer = np.empty((d, size, count), dtype=path_type)
             peak_buffer = np.empty((size, count), dtype=path_type)
             spare_buffer = np.empty((size, count), dtype=path_type)
         paths, peak, spare = path_buffer[:, :steps], peak_buffer[:steps], spare_buffer[:steps]
-        np.equal(letters, np.arange(d, dtype=letters.dtype)[:, None, None], out=paths)
+        # row c marks letter >= c (none past the last threshold), and less
+        # row c + 1, letter == c
+        paths[0] = 1
+        for c, threshold in enumerate(thresholds, start=1):
+            np.greater_equal(words, threshold, out=paths[c])
+        paths[len(thresholds) + 1 :] = 0
+        for c in range(len(thresholds)):
+            paths[c] -= paths[c + 1]
         paths[:, 0] += ends
         # rows[i] is the (T, count) path of coordinate i, contiguous
         rows = list(paths)
@@ -200,7 +210,6 @@ def _sample_shapes(cfg: SamplerConfig, chain: int, count: int) -> Counter:
             f"{cfg.boxes} boxes overflow the sampler's 32-bit path state; the cap is {_MAX_BOXES}"
         )
     steps = max(1, min(cfg.boxes, _BLOCK_CELLS // count))
-    letter_type = np.min_scalar_type(d - 1)
     # the smallest signed type that holds -N - 1 holds [-N, N]
     path_type = np.min_scalar_type(-cfg.boxes - 1)
     state = path_type.itemsize
@@ -209,37 +218,23 @@ def _sample_shapes(cfg: SamplerConfig, chain: int, count: int) -> Counter:
     # (at most one per sample and one per weak composition of N into d
     # parts): its count under a Python tuple key, measured at most 140 + 48d
     # bytes; per block cell: the word in 8 bytes, three blocks at once
-    # (filling, queued, read), its threshold mask in 1, the letter, and d
-    # paths and two pair rows; and numpy's cast buffers, getbufsize()
-    # elements of at most 8 bytes
+    # (filling, queued, read), and d paths and two pair rows; and numpy's
+    # cast buffers, getbufsize() elements of at most 8 bytes
     per_sample = state * (d + d * (d - 1) // 2) + 3 * state * d + 17
     # the number of weak compositions is formed exactly only when it is small
     log_compositions = math.lgamma(cfg.boxes + d) - math.lgamma(d) - math.lgamma(cfg.boxes + 1)
     distinct = count
     if log_compositions < math.log(count) + 1:
         distinct = min(count, math.comb(cfg.boxes + d - 1, d - 1))
-    per_cell = 3 * 8 + 1 + letter_type.itemsize + state * (d + 2)
+    per_cell = 3 * 8 + state * (d + 2)
     needed = count * (per_sample + per_cell * steps) + distinct * (140 + 48 * d) + 8 * np.getbufsize()
     if needed > MAX_CHAIN_BYTES:
         raise ResourceLimitError(
             f"one chain of {count} samples at d={d} needs {needed} bytes of "
-            f"path state, word and letter blocks and shape counts, over the cap of {MAX_CHAIN_BYTES}"
+            f"path state, word blocks and shape counts, over the cap of {MAX_CHAIN_BYTES}"
         )
-    thresholds = _word_thresholds(cfg.spectrum.values)
-    above = np.empty((steps, count), dtype=bool)
-    letters = np.empty((steps, count), dtype=letter_type)
-
-    def letter_blocks(word_blocks: Iterator[np.ndarray]) -> Iterator[np.ndarray]:
-        for words in word_blocks:
-            mask, letter = above[: len(words)], letters[: len(words)]
-            letter.fill(0)
-            for threshold in thresholds:
-                np.greater_equal(words, threshold, out=mask)
-                letter += mask
-            yield letter
-
     with _words_ahead(_chain_rng(cfg.seed, chain).bit_generator, cfg.boxes, steps, count) as word_blocks:
-        shapes = _word_shapes(letter_blocks(word_blocks), d, count, path_type)
+        shapes = _word_shapes(word_blocks, _word_thresholds(cfg.spectrum.values), d, count, path_type)
     unique, multiplicities = np.unique(shapes, axis=0, return_counts=True)
     return Counter(dict(zip(map(tuple, unique.tolist()), multiplicities.tolist())))
 

@@ -198,6 +198,31 @@ class TestUnitaryDimension:
                     fillings = sum(1 for _ in ssyt_contents(frame.rows, d))
                     assert dim_unitary_irrep(frame, d) == fillings
 
+    @staticmethod
+    def weyl_product(rows, d):
+        rows = tuple(rows) + (0,) * (d - len(rows))
+        product = Fraction(1)
+        for i in range(d):
+            for j in range(i + 1, d):
+                if rows[i] != rows[j]:  # equal rows contribute (j - i) / (j - i)
+                    product *= Fraction(rows[i] - rows[j] + j - i, j - i)
+        return product
+
+    def test_padded_rows_match_weyl_product(self):
+        for d in range(1, 5):
+            for n in range(0, 9):
+                for frame in enumerate_frames(d, n):
+                    for padded in (d, d + 2):
+                        assert dim_unitary_irrep(frame, padded) == self.weyl_product(frame.rows, padded)
+
+    def test_zero_rows_cost_only_their_contents(self):
+        # hook-content takes N factors however many zero rows pad the frame
+        frame = YoungFrame((3, 2, 1) + (0,) * 997)
+        start = time.perf_counter()
+        dimension = dim_unitary_irrep(frame)
+        assert time.perf_counter() - start < 0.5
+        assert dimension == 22222111111200000 == self.weyl_product(frame.rows, 1000)
+
     def test_rejects_too_many_rows(self):
         with pytest.raises(ValueError):
             dim_unitary_irrep(YoungFrame((2, 1, 1)), 2)

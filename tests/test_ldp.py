@@ -28,6 +28,7 @@ from spectrum_scope import (
     rate,
     rate_scan,
 )
+from spectrum_scope import ldp
 from oracles import partition_tuples
 
 
@@ -107,6 +108,23 @@ class TestCgf:
         grad = cgf_gradient((0.3, -0.2, 0.1), Spectrum((0.5, 0.3, 0.2)))
         assert grad.sum() == pytest.approx(1.0, abs=1e-12)
 
+    def test_gradient_rejects_a_tilt_of_the_wrong_length(self):
+        with pytest.raises(ValueError, match="2 entries"):
+            cgf_gradient((0.0,), (0.5, 0.5))
+
+    @pytest.mark.parametrize("bad", [(math.nan, 0.0), (math.inf, 0.0), (0.0, math.nan)])
+    def test_gradient_rejects_nan_or_plus_infinite_tilt(self, bad):
+        with pytest.raises(ValueError, match="finite or -inf"):
+            cgf_gradient(bad, (0.6, 0.4))
+
+    def test_gradient_rejects_a_tilt_that_is_minus_infinite_on_the_support(self):
+        with pytest.raises(ValueError, match="every level of the support"):
+            cgf_gradient((-math.inf, -math.inf), (0.6, 0.4))
+        with pytest.raises(ValueError, match="every level of the support"):
+            cgf_gradient((-math.inf, 0.0), (1.0, 0.0))
+        # one supported level left carries all the weight
+        assert cgf_gradient((-math.inf, 0.0), (0.6, 0.4)).tolist() == [0.0, 1.0]
+
 
 class TestLegendre:
     def test_zero_at_reference(self):
@@ -177,9 +195,10 @@ class TestLegendre:
         assert result.iterations <= 30
         assert result.value == pytest.approx(rate(s, r), abs=1e-8)
 
-    def test_budget_exhaustion_raises_with_iterate(self):
+    def test_budget_exhaustion_raises_with_iterate(self, monkeypatch):
+        monkeypatch.setattr(ldp, "_MAX_ITERATIONS", 0)
         with pytest.raises(ConvergenceError) as info:
-            legendre_of_cgf(Spectrum((0.9, 0.1)), Spectrum((0.6, 0.4)), max_iterations=0)
+            legendre_of_cgf(Spectrum((0.9, 0.1)), Spectrum((0.6, 0.4)))
         assert info.value.last_iterate is not None
 
 

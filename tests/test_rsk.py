@@ -112,8 +112,10 @@ class TestPathTransformKernel:
         flat = data.draw(st.lists(st.integers(0, d - 1), min_size=cells, max_size=cells))
         letters = np.array(flat, dtype=np.int64).reshape(length, count)
         blocks = [letters[start : start + steps] for start in range(0, length, steps)]
-        # the sampler holds paths in int8 up to N = 127, int16 below N = 2^15 and int32 above
-        shapes = {t: _word_shapes(blocks, d, count, t) for t in (np.int8, np.int16, np.int32)}
+        # the sampler holds paths in int8 up to N = 127, int16 below N = 2^15 and int32 above;
+        # thresholds 1 .. d - 1 read each letter back off itself as a word
+        thresholds = np.arange(1, d)
+        shapes = {t: _word_shapes(blocks, thresholds, d, count, t) for t in (np.int8, np.int16, np.int32)}
         for sample in range(count):
             word = [int(letter) + 1 for letter in letters[:, sample]]
             t = CompactTableau.empty(d)
@@ -133,7 +135,29 @@ class TestPathTransformKernel:
         d = 4
         letters = np.random.default_rng(count).integers(0, d, size=(length, count), dtype=np.uint8)
         blocks = [letters[start : start + steps] for start in range(0, length, steps)]
-        shapes = _word_shapes(blocks, d, count, np.int16)
+        shapes = _word_shapes(blocks, np.arange(1, d), d, count, np.int16)
+        for sample in range(count):
+            expected = rsk_shape([int(letter) + 1 for letter in letters[:, sample]])
+            assert tuple(shapes[sample]) == expected + (0,) * (d - len(expected))
+
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_spaced_thresholds_match_insertion(self, data):
+        # the letter of a word counts the thresholds at or below it: spaced
+        # thresholds, and fewer of them than d - 1, whose top letters never occur
+        d = data.draw(st.integers(1, 6))
+        thresholds = np.array(
+            sorted(data.draw(st.sets(st.integers(1, 99), max_size=d - 1))), dtype=np.uint64
+        )
+        length = data.draw(st.integers(0, 40))
+        count = data.draw(st.integers(1, 3))
+        steps = data.draw(st.integers(1, max(length, 1)))
+        cells = length * count
+        flat = data.draw(st.lists(st.integers(0, 99), min_size=cells, max_size=cells))
+        words = np.array(flat, dtype=np.uint64).reshape(length, count)
+        blocks = [words[start : start + steps] for start in range(0, length, steps)]
+        shapes = _word_shapes(blocks, thresholds, d, count, np.int8)
+        letters = (words[:, :, None] >= thresholds).sum(axis=2)
         for sample in range(count):
             expected = rsk_shape([int(letter) + 1 for letter in letters[:, sample]])
             assert tuple(shapes[sample]) == expected + (0,) * (d - len(expected))
@@ -182,7 +206,8 @@ class TestSampling:
         assert sample_frame_counts(cfg, 5000) == sample_frame_counts(cfg, 5000)
 
     def test_letters_past_eight_bits(self):
-        # at d = 257 the last letter is 256, which needs a 16-bit letter type
+        # at d = 257 the last letter is 256, past eight bits: 256 thresholds
+        # mark 257 path rows
         d, boxes, count = 257, 400, 3
         cfg = SamplerConfig(d=d, boxes=boxes, spectrum=Spectrum((1 / d,) * d), seed=11)
         draws = rsk._chain_rng(cfg.seed, 0).random((boxes, count))
@@ -312,8 +337,9 @@ class TestWordLetters:
         spectra += [(0.5, 0.5, 0.0, 0.0), (1.0, 1e-17, 0.0), (0.6, 0.4 - 2**-54, 2**-54), (0.25,) * 4]
         captured = []
 
-        def capture(blocks, d, count, path_type):
-            captured.extend(block.copy() for block in blocks)
+        def capture(blocks, thresholds, d, count, path_type):
+            # the letter of a raw word counts the thresholds at or below it
+            captured.extend((block[:, :, None] >= thresholds).sum(axis=2) for block in blocks)
             return np.zeros((count, d), dtype=path_type)
 
         monkeypatch.setattr(rsk, "_word_shapes", capture)
@@ -331,7 +357,7 @@ class TestWordThread:
     cfg = SamplerConfig(d=3, boxes=1000, spectrum=Spectrum((0.5, 0.3, 0.2)), seed=1)
 
     def test_kernel_error_stops_the_word_thread(self, monkeypatch):
-        def fail_after_first_block(blocks, d, count, path_type):
+        def fail_after_first_block(blocks, thresholds, d, count, path_type):
             next(iter(blocks))
             raise RuntimeError("kernel failed")
 
@@ -348,7 +374,7 @@ class TestWordThread:
         count = 2000  # 63 blocks of at most 16 steps
         draws = rsk._chain_rng(self.cfg.seed, 0).random((self.cfg.boxes, count))
         letters = (draws[:, :, None] >= np.cumsum(self.cfg.spectrum.values)[:-1]).sum(axis=2)
-        shapes = _word_shapes([letters], self.cfg.d, count, np.int32)
+        shapes = _word_shapes([letters], np.arange(1, self.cfg.d), self.cfg.d, count, np.int32)
         expected = Counter(map(tuple, shapes.tolist()))
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)

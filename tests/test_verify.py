@@ -1,5 +1,6 @@
 import pytest
 
+from spectrum_scope import ldp
 from spectrum_scope.verify import QUICK, report_dict, run_checks
 
 
@@ -22,8 +23,9 @@ def test_report_shape():
     }
 
 
-def test_tampered_rate_function_fails_duality():
-    results = run_checks(QUICK, rate_fn=lambda s, r: 0.0)
+def test_tampered_rate_function_fails_duality(monkeypatch):
+    monkeypatch.setattr(ldp, "rate", lambda s, r: 0.0)
+    results = run_checks(QUICK)
     by_name = {r.name: r for r in results}
     assert not by_name["duality"].passed
     report = report_dict(QUICK, results)
