@@ -31,7 +31,6 @@ _EXPORTS = {
     ),
     "schur": (
         "CharacterBounds",
-        "DiagonalState",
         "SchurTable",
         "WeightTable",
         "brute_force_frame_probability",

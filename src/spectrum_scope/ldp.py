@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import ConvergenceError, EmptyRegionError, ResourceLimitError
 from .frames import Spectrum, frame_count, frame_rows, log_frobenius_dims
-from .logspace import NEG_INF, log_sum_exp, weighted_dots
+from .logspace import NEG_INF, log_each, log_sum_exp, weighted_dots
 from .measure import (
     BallComplement,
     FrameSet,
@@ -173,30 +173,16 @@ def legendre_of_cgf(s, r) -> LegendreResult:
     )
 
 
-def empirical_cgf(
-    d: int,
-    boxes: int,
-    spectrum: Spectrum,
-    eta: Sequence[float],
-    *,
-    table: SchurTable | None = None,
-) -> float:
+def empirical_cgf(d: int, boxes: int, spectrum: Spectrum, eta: Sequence[float]) -> float:
     """(1/N) ln E[exp(eta . Y)] under the exact outcome distribution."""
     if boxes < 1:
         raise ValueError("need at least one box")
     _check_tilt(eta, d)
-    dist = exact_distribution(d, boxes, spectrum, table=table)
+    dist = exact_distribution(d, boxes, spectrum)
     return log_sum_exp(dist.log_probs + weighted_dots(dist.rows, eta)) / boxes
 
 
-def j_equivalence_gap(
-    d: int,
-    boxes: int,
-    spectrum: Spectrum,
-    eta: Sequence[float],
-    *,
-    table: SchurTable | None = None,
-) -> float:
+def j_equivalence_gap(d: int, boxes: int, spectrum: Spectrum, eta: Sequence[float]) -> float:
     """(1/N)(ln J - ln J') for the tilted character sum and its highest-weight proxy.
 
     J sums the true tilted frame probabilities; J' replaces each character
@@ -209,9 +195,9 @@ def j_equivalence_gap(
     _check_tilt(eta, d)
     if any(a < b for a, b in zip(eta, list(eta)[1:])):
         raise ValueError(f"tilt vector must be non-increasing: {tuple(eta)}")
-    dist = exact_distribution(d, boxes, spectrum, table=table)
+    dist = exact_distribution(d, boxes, spectrum)
     log_j = log_sum_exp(dist.log_probs + weighted_dots(dist.rows, eta))
-    tilted_h = [(math.log(v) if v > 0.0 else NEG_INF) + float(x) for v, x in zip(spectrum, eta)]
+    tilted_h = [h + float(x) for h, x in zip(log_each(spectrum), eta)]
     log_j_proxy = log_sum_exp(weighted_dots(dist.rows, tilted_h) + log_frobenius_dims(dist.rows, dist.boxes))
     return (log_j - log_j_proxy) / boxes
 

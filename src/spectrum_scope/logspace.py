@@ -24,6 +24,11 @@ def log_sum_exp(values) -> float:
     return top + math.log(float(np.exp(arr - top).sum()))
 
 
+def log_each(values) -> list[float]:
+    """ln v for each v, with -inf for an exact zero."""
+    return [math.log(v) if v > 0.0 else NEG_INF for v in values]
+
+
 def weighted_dots(rows, log_values) -> np.ndarray:
     """sum_a rows[i][a] * log_values[a] for each row i, column by column, with 0 * (-inf) := 0."""
     rows, total = np.asarray(rows), np.zeros(len(rows))

@@ -164,6 +164,14 @@ def _boxes(rows: np.ndarray) -> np.ndarray:
     return boxes
 
 
+def _scaled(values: Sequence[float | Fraction]) -> tuple[int, list[int]]:
+    """(q, q * values) in Python ints, q the common denominator; q is up to
+    2^1074 for binary-float data."""
+    exact = [Fraction(v) for v in values]
+    q = math.lcm(*(v.denominator for v in exact))
+    return q, [v.numerator * (q // v.denominator) for v in exact]
+
+
 @dataclass(frozen=True)
 class BallComplement(Region):
     """Points at sup-distance strictly greater than ``radius`` from ``center``.
@@ -182,14 +190,6 @@ class BallComplement(Region):
         _require_finite("ball center and radius", (*self.center, self.radius))
 
     @cached_property
-    def _scaled(self) -> tuple[int, tuple[int, ...], int]:
-        """(q, q * center, q * radius) in integers, q the common denominator."""
-        exact = [Fraction(v) for v in (*self.center, self.radius)]
-        q = math.lcm(*(v.denominator for v in exact))
-        scaled = [v.numerator * (q // v.denominator) for v in exact]
-        return q, tuple(scaled[:-1]), scaled[-1]
-
-    @cached_property
     def _float_center(self) -> tuple[float, ...]:
         return tuple(float(c) for c in self.center)
 
@@ -200,9 +200,8 @@ class BallComplement(Region):
     def contains_estimates(self, rows: np.ndarray) -> np.ndarray:
         if rows.shape[1] != len(self.center):
             raise ValueError(f"ball center has {len(self.center)} entries, frames have {rows.shape[1]} rows")
-        # |Y_j/N - c_j| > a  <=>  |Y_j q - (q c_j) N| > (q a) N, in Python ints
-        # because q is up to 2^1074 for binary-float data
-        q, center, radius = self._scaled
+        # |Y_j/N - c_j| > a  <=>  |Y_j q - (q c_j) N| > (q a) N
+        q, (*center, radius) = _scaled((*self.center, self.radius))
         boxes = _boxes(rows).astype(object)[:, None]
         gaps = np.abs(rows.astype(object) * q - np.array(center, dtype=object) * boxes)
         return (gaps > radius * boxes).any(axis=1)
@@ -210,7 +209,8 @@ class BallComplement(Region):
 
 @dataclass(frozen=True)
 class HalfSpace(Region):
-    """Points with normal . s >= offset."""
+    """Points with normal . s >= offset; frame estimates are compared in
+    exact integer arithmetic, as in ``BallComplement``."""
 
     normal: tuple[float, ...]
     offset: float
@@ -220,6 +220,14 @@ class HalfSpace(Region):
 
     def contains_point(self, values: Sequence[float]) -> bool:
         return math.fsum(n * v for n, v in zip(self.normal, values, strict=True)) >= self.offset
+
+    def contains_estimates(self, rows: np.ndarray) -> np.ndarray:
+        if rows.shape[1] != len(self.normal):
+            raise ValueError(f"half-space normal has {len(self.normal)} entries, frames have {rows.shape[1]} rows")
+        # a . Y/N >= b  <=>  (q a) . Y >= (q b) N
+        _, (*normal, offset) = _scaled((*self.normal, self.offset))
+        boxes = _boxes(rows).astype(object)
+        return (rows.astype(object) @ np.array(normal, dtype=object) >= offset * boxes).astype(bool)
 
 
 @dataclass(frozen=True)

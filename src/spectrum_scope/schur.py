@@ -26,7 +26,7 @@ from .frames import (
     enumerate_frames,
     log_dim_unitary_irrep,
 )
-from .logspace import NEG_INF, log_sum_exp, weighted_dots
+from .logspace import NEG_INF, log_each, log_sum_exp, weighted_dots
 
 KOSTKA_MAX_BOXES = 12
 KOSTKA_MAX_ROWS = 4
@@ -36,35 +36,6 @@ CYCLE_SUM_MAX_BOXES = 8
 MAX_TABLE_BYTES = 2**29
 # rounding allowance on each side of the highest-weight sandwich in ``character_bounds_check``
 _BOUNDS_SLACK = 1e-10
-
-
-@dataclass(frozen=True)
-class DiagonalState:
-    """Diagonal density operator recorded through its log eigenvalues."""
-
-    log_eigenvalues: tuple[float, ...]
-
-    def __post_init__(self):
-        # -inf is the log of a zero eigenvalue; NaN and +inf are rejected
-        if not all(h < math.inf for h in self.log_eigenvalues):
-            raise ValueError(f"log eigenvalues must be finite or -inf: {self.log_eigenvalues}")
-        for upper, lower in zip(self.log_eigenvalues, self.log_eigenvalues[1:]):
-            if upper < lower:
-                raise ValueError("log eigenvalues must be non-increasing")
-        total = math.fsum(math.exp(h) for h in self.log_eigenvalues)
-        if abs(total - 1.0) > 1e-12:
-            raise ValueError(f"eigenvalues must sum to 1, got {total!r}")
-
-    @classmethod
-    def from_spectrum(cls, spectrum: Spectrum) -> "DiagonalState":
-        return cls(tuple(math.log(v) if v > 0.0 else NEG_INF for v in spectrum))
-
-    def to_spectrum(self) -> Spectrum:
-        return Spectrum(tuple(math.exp(h) for h in self.log_eigenvalues))
-
-    @property
-    def d(self) -> int:
-        return len(self.log_eigenvalues)
 
 
 def _branch(cube: np.ndarray, low: Sequence[int], ratios: Sequence[float]) -> None:
@@ -136,25 +107,28 @@ class SchurTable:
 
     def log_value(self, rows: Sequence[int]) -> float:
         """ln s_Y(r) for the shape given by ``rows``; -inf for an exact zero."""
-        shape = tuple(int(v) for v in rows)
-        for upper, lower in zip(shape, shape[1:]):
-            if upper < lower:
-                raise ValueError(f"shape must be non-increasing: {shape}")
-        if shape and shape[-1] < 0:
-            raise ValueError(f"shape must be non-negative: {shape}")
-        return float(self.log_values([shape + (0,) * (self._k - len(shape))])[0])
+        return float(self.log_values([rows])[0])
 
     def log_values(self, rows) -> np.ndarray:
-        """ln s_Y(r) for each shape, one non-increasing row of ``rows`` (at least k columns) per shape.
+        """ln s_Y(r) for each shape, one non-negative, non-increasing row of ``rows`` per shape.
 
-        Shapes are batched by Y_m, the first row the top cube does not index;
-        a batch branches the crop [min Y_(a+1), max Y_a] on each axis a. Terms
-        below Y_(a+1) are masked to exact zeros, which the recurrence carries
-        as zeros (q 0 + 0 = 0), so a value does not depend, to the bit, on the
-        rest of its batch. The only log is taken here:
+        Rows shorter than k are read as zero-padded. Shapes are batched by
+        Y_m, the first row the top cube does not index; a batch branches the
+        crop [min Y_(a+1), max Y_a] on each axis a. Terms below Y_(a+1) are
+        masked to exact zeros, which the recurrence carries as zeros
+        (q 0 + 0 = 0), so a value does not depend, to the bit, on the rest of
+        its batch. The only log is taken here:
         ln s_Y = ln L_k(Y) + sum_a Y_a ln r_a, summed column by column.
         """
         rows, k, m = np.asarray(rows, dtype=np.int64), self._k, self._cube.ndim
+        if rows.ndim != 2:
+            raise ValueError(f"need one shape per row, got an array of shape {rows.shape}")
+        if (rows[:, 1:] > rows[:, :-1]).any():
+            raise ValueError("shapes must be non-increasing")
+        if rows.shape[1] and (rows[:, -1] < 0).any():  # the last row is the least
+            raise ValueError("shapes must be non-negative")
+        if rows.shape[1] < k:  # np.pad always copies
+            rows = np.pad(rows, ((0, 0), (0, k - rows.shape[1])))
         boxes = rows.sum(axis=1)
         if boxes.max(initial=0) > self.max_boxes:
             raise ValueError(f"a shape has {boxes.max()} boxes, the table allows {self.max_boxes}")
@@ -173,13 +147,9 @@ class SchurTable:
         return np.where(live, np.log(top) + highest, NEG_INF)
 
 
-def schur_log(frame: YoungFrame, spectrum: Spectrum, *, table: SchurTable | None = None) -> float:
+def schur_log(frame: YoungFrame, spectrum: Spectrum) -> float:
     """ln s_Y(r) via the positive branching recursion; -inf when s_Y(r) = 0."""
-    if table is None:
-        table = SchurTable(spectrum, frame.boxes)
-    elif table.spectrum != spectrum:
-        raise ValueError("table was built for a different spectrum")
-    return table.log_value(frame.rows)
+    return SchurTable(spectrum, frame.boxes).log_value(frame.rows)
 
 
 @dataclass(frozen=True)
@@ -196,18 +166,15 @@ class WeightTable:
         return sum(self.entries.values())
 
 
-def weight_multiplicities(frame: YoungFrame, d: int | None = None) -> WeightTable:
+def weight_multiplicities(frame: YoungFrame) -> WeightTable:
     """Kostka counts: semistandard fillings of the shape per content vector."""
-    if d is None:
-        d = frame.d
-    if frame.nonzero_rows() > d:
-        raise ValueError(f"frame {frame} has more than {d} nonzero rows")
+    d = frame.d
     if d > KOSTKA_MAX_ROWS or frame.boxes > KOSTKA_MAX_BOXES:
         raise ResourceLimitError(
             f"weight table enumeration is capped at d <= {KOSTKA_MAX_ROWS}, "
             f"N <= {KOSTKA_MAX_BOXES}; got d={d}, N={frame.boxes}"
         )
-    shape = (frame.rows + (0,) * d)[:d]
+    shape = frame.rows
     counts: Counter[tuple[int, ...]] = Counter()
     for content in _ssyt_contents(shape, d):
         counts[content] += 1
@@ -241,11 +208,11 @@ def _ssyt_contents(shape: tuple[int, ...], level: int):
             yield content + (strip,)
 
 
-def character_from_weights(table: WeightTable, state: DiagonalState) -> float:
-    """Character as the weight expansion: log-sum of m(mu) * exp(mu . h)."""
+def character_from_weights(table: WeightTable, spectrum: Spectrum) -> float:
+    """Character as the weight expansion: log-sum of m(mu) * r^mu."""
     weights = sorted(table.entries)
     logs = np.array([math.log(table.entries[weight]) for weight in weights])
-    return log_sum_exp(logs + weighted_dots(weights, state.log_eigenvalues))
+    return log_sum_exp(logs + weighted_dots(weights, log_each(spectrum)))
 
 
 @dataclass(frozen=True)
@@ -258,15 +225,15 @@ class CharacterBounds:
     holds: bool
 
 
-def character_bounds_check(frame: YoungFrame, state: DiagonalState) -> CharacterBounds:
-    """Check exp(Y.h) <= character <= dim * exp(Y.h) for a diagonal state."""
-    d = state.d
+def character_bounds_check(frame: YoungFrame, spectrum: Spectrum) -> CharacterBounds:
+    """Check r^Y <= s_Y(r) <= dim V_Y * r^Y, in logs, for the frame's shape."""
+    d = spectrum.d
     if frame.nonzero_rows() > d:
         raise ValueError(f"frame {frame} has more than {d} nonzero rows")
     rows = (frame.rows + (0,) * d)[:d]
-    lower = float(weighted_dots([rows], state.log_eigenvalues)[0])
+    lower = float(weighted_dots([rows], log_each(spectrum))[0])
     upper = lower + log_dim_unitary_irrep(frame, d)
-    value = schur_log(YoungFrame(rows), state.to_spectrum())
+    value = SchurTable(spectrum, frame.boxes).log_value(rows)
     holds = (lower - _BOUNDS_SLACK <= value) and (value <= upper + _BOUNDS_SLACK)
     return CharacterBounds(lower=lower, value=value, upper=upper, holds=holds)
 

@@ -19,7 +19,6 @@ from .frames import Spectrum, enumerate_frames
 from .measure import exact_distribution
 from .rsk import SamplerConfig, empirical_distribution
 from .schur import (
-    DiagonalState,
     SchurTable,
     brute_force_frame_probability,
     character_bounds_check,
@@ -92,11 +91,10 @@ def _check_bounds(level: str) -> CheckResult:
     for d in (2, 3):
         for _ in range(spectra):
             spectrum = _random_spectrum(rng, d)
-            state = DiagonalState.from_spectrum(spectrum)
             for n in range(1, max_boxes + 1):
                 for frame in enumerate_frames(d, n):
                     checked += 1
-                    if not character_bounds_check(frame, state).holds:
+                    if not character_bounds_check(frame, spectrum).holds:
                         failures += 1
     return CheckResult(
         name="bounds",

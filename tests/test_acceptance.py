@@ -26,7 +26,6 @@ from conftest import random_spectrum, subprocess_env
 
 from spectrum_scope import (
     BallComplement,
-    DiagonalState,
     SchurTable,
     Spectrum,
     YoungFrame,
@@ -276,13 +275,12 @@ def test_criterion_07_weights_and_bounds():
     for _ in range(20):
         spectra = {d: random_spectrum(rng, d) for d in (1, 2, 3)}
         evaluators = {d: SchurTable(spectra[d], 10) for d in (1, 2, 3)}
-        states = {d: DiagonalState.from_spectrum(spectra[d]) for d in (1, 2, 3)}
         for frame in frames:
             d = frame.d
-            expansion = character_from_weights(tables[frame], states[d])
+            expansion = character_from_weights(tables[frame], spectra[d])
             direct = evaluators[d].log_value(frame.rows)
             worst = max(worst, abs(expansion - direct))
-            if frame.boxes and not character_bounds_check(frame, states[d]).holds:
+            if frame.boxes and not character_bounds_check(frame, spectra[d]).holds:
                 bounds_hold = False
     passed = worst <= 1e-10 and bounds_hold
     report(
@@ -325,13 +323,12 @@ def test_criterion_09_empirical_cgf_convergence():
     spectrum = Spectrum((0.7, 0.3))
     eta = (0.5, 0.0)
     limit = cgf(eta, spectrum)
-    table = SchurTable(spectrum, 300)
     worst_margin = math.inf
     passed = True
     for n in (50, 100, 200, 300):
-        value = empirical_cgf(2, n, spectrum, eta, table=table)
+        value = empirical_cgf(2, n, spectrum, eta)
         cgf_bound = math.log(n + 1) / n + 2 / n
-        gap = j_equivalence_gap(2, n, spectrum, eta, table=table)
+        gap = j_equivalence_gap(2, n, spectrum, eta)
         gap_bound = math.log(dim_poly_bound(2, n)) / n + 1e-9
         if abs(value - limit) > cgf_bound or abs(gap) > gap_bound:
             passed = False

@@ -389,6 +389,20 @@ class TestSample:
     def test_rejects_zero_samples(self, tmp_path):
         assert run(["sample", "--d", 2, "--n", 3, "--spectrum", "0.5,0.5", "--samples", 0, "--out", tmp_path / "x.csv"]) == 2
 
+    def test_json_same_data(self, tmp_path):
+        out_csv, out_json = tmp_path / "s.csv", tmp_path / "s.json"
+        argv = ["sample", "--d", 3, "--n", 40, "--spectrum", "0.5,0.3,0.2", "--samples", 3000, "--seed", 5, "--chains", 2]
+        assert run(argv + ["--out", out_csv]) == 0
+        assert run(argv + ["--format", "json", "--out", out_json]) == 0
+        report = json.loads(out_json.read_text())
+        assert report["frequencies"] == [
+            {k: float(v) if k == "frequency" else int(v) for k, v in row.items()} for row in read_csv(out_csv)
+        ]
+        cfg = SamplerConfig(d=3, boxes=40, spectrum=Spectrum((0.5, 0.3, 0.2)), seed=5, chains=2)
+        empirical = empirical_distribution(cfg, 3000)
+        assert report["samples"] == empirical.samples == 3000
+        assert tuple(report["mean_estimate"]) == empirical.mean_estimate
+
 
 class TestLegendre:
     def test_prints_matching_values(self, tmp_path, capsys):
@@ -447,6 +461,17 @@ class TestVerifyCommand:
             "duality",
             "sampler-equivalence",
         ]
+
+    def test_failed_check_exits_one(self, tmp_path, capsys, monkeypatch):
+        from spectrum_scope import verify
+
+        monkeypatch.setattr(verify, "_check_bounds", lambda level: verify.CheckResult("bounds", False, "forced"))
+        out = tmp_path / "report.json"
+        assert run(["verify", "--level", "quick", "--out", out]) == 1
+        report = json.loads(out.read_text())
+        assert report["passed"] is False
+        assert [c["name"] for c in report["checks"] if not c["passed"]] == ["bounds"]
+        assert "bounds" in capsys.readouterr().err
 
     def test_levels_are_the_checks_levels(self):
         from spectrum_scope import verify

@@ -14,7 +14,6 @@ from spectrum_scope import (
     HalfSpace,
     PredicateRegion,
     ResourceLimitError,
-    SchurTable,
     Spectrum,
     YoungFrame,
     cgf,
@@ -223,10 +222,9 @@ class TestEmpiricalCgf:
             (3, Spectrum((0.5, 0.3, 0.2)), (0.4, 0.0, -0.4)),
         ]
         for d, r, eta in cases:
-            table = SchurTable(r, 300)
             limit = cgf(eta, r)
             for n in (50, 100, 200, 300):
-                value = empirical_cgf(d, n, r, eta, table=table)
+                value = empirical_cgf(d, n, r, eta)
                 bound = (d * (d - 1) / 2) * math.log(n + 1) / n + 2 / n
                 assert abs(value - limit) <= bound
 
@@ -261,8 +259,7 @@ class TestJEquivalenceGap:
 
     def test_magnitude_decreases(self):
         r = Spectrum((0.7, 0.3))
-        table = SchurTable(r, 100)
-        gaps = [abs(j_equivalence_gap(2, n, r, (0.2, 0.0), table=table)) for n in (25, 50, 100)]
+        gaps = [abs(j_equivalence_gap(2, n, r, (0.2, 0.0))) for n in (25, 50, 100)]
         assert gaps[0] > gaps[1] > gaps[2]
         assert gaps[0] <= math.log(26) / 25 + 0.01
 

@@ -181,6 +181,16 @@ class TestRegions:
         assert (0.8 - 0.7) > 0.1
         assert region.contains_estimate(YoungFrame((9, 1)))
 
+    def test_exact_half_space_boundary_frames_are_included(self):
+        # estimate (0.6, 0.3, 0.1) sits exactly on s1 + s2 = 9/10; the float
+        # sum 0.6 + 0.3 lands just below it
+        region = HalfSpace(normal=(1, 1, 0), offset=Fraction(9, 10))
+        assert 0.6 + 0.3 < Fraction(9, 10)
+        assert region.contains_estimate(YoungFrame((6, 3, 1)))
+        assert not region.contains_estimate(YoungFrame((5, 3, 2)))
+        rows = np.array([[6, 3, 1], [5, 3, 2], [7, 3, 0]], dtype=np.int64)
+        assert region.contains_estimates(rows).tolist() == [True, False, True]
+
     def test_zero_radius_keeps_everything_but_the_center(self):
         region = BallComplement(center=(0.75, 0.25), radius=0.0)
         assert not region.contains_estimate(YoungFrame((6, 2)))

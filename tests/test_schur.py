@@ -17,7 +17,6 @@ from oracles import (
 
 from spectrum_scope import schur
 from spectrum_scope import (
-    DiagonalState,
     ResourceLimitError,
     SchurTable,
     Spectrum,
@@ -180,9 +179,14 @@ class TestSchurLog:
         with pytest.raises(ValueError):
             table.log_value((5, 0))
 
-    def test_dimension_mismatch_rejected(self):
+    @pytest.mark.parametrize("rows", [[[1, 2, 0]], [[3, -1, 0]], [2, 1, 0]], ids=["increasing", "negative", "1-D"])
+    def test_bad_rows_rejected(self, rows):
         with pytest.raises(ValueError):
-            schur_log(YoungFrame((2, 1)), Spectrum((0.5, 0.3, 0.2)), table=SchurTable(Spectrum((0.5, 0.5)), 4))
+            SchurTable(Spectrum((0.5, 0.3, 0.2)), 4).log_values(rows)
+
+    def test_short_rows_are_zero_padded(self):
+        table = SchurTable(Spectrum((0.5, 0.3, 0.2)), 4)
+        assert table.log_values([[2, 1]])[0] == table.log_value((2, 1, 0))
 
 
 class TestBialternant:
@@ -283,82 +287,70 @@ class TestWeights:
             weight_multiplicities(YoungFrame((13, 0)))
 
 
-class TestDiagonalState:
-    @pytest.mark.parametrize("bad", [math.nan, math.inf])
-    def test_rejects_nan_and_positive_infinity(self, bad):
-        with pytest.raises(ValueError):
-            DiagonalState((0.0, bad))
-
-    def test_negative_infinity_is_a_zero_eigenvalue(self):
-        state = DiagonalState((0.0, NEG_INF))
-        assert state.to_spectrum().values == (1.0, 0.0)
-
-
 class TestCharacterFromWeights:
     def test_single_weight(self):
-        state = DiagonalState.from_spectrum(Spectrum((0.5, 0.5)))
+        spectrum = Spectrum((0.5, 0.5))
         table = weight_multiplicities(YoungFrame((1, 1)))
-        assert character_from_weights(table, state) == pytest.approx(math.log(0.25), abs=1e-13)
+        assert character_from_weights(table, spectrum) == pytest.approx(math.log(0.25), abs=1e-13)
 
     def test_uniform_adjoint(self):
-        state = DiagonalState.from_spectrum(Spectrum((1 / 3, 1 / 3, 1 / 3)))
+        spectrum = Spectrum((1 / 3, 1 / 3, 1 / 3))
         table = weight_multiplicities(YoungFrame((2, 1, 0)))
-        assert character_from_weights(table, state) == pytest.approx(math.log(8 / 27), abs=1e-13)
+        assert character_from_weights(table, spectrum) == pytest.approx(math.log(8 / 27), abs=1e-13)
 
     def test_two_row_square(self):
-        state = DiagonalState.from_spectrum(Spectrum((0.7, 0.3)))
+        spectrum = Spectrum((0.7, 0.3))
         table = weight_multiplicities(YoungFrame((2, 0)))
-        assert character_from_weights(table, state) == pytest.approx(math.log(0.79), abs=1e-13)
+        assert character_from_weights(table, spectrum) == pytest.approx(math.log(0.79), abs=1e-13)
 
     def test_equals_branching_evaluator(self):
         rng = np.random.default_rng(23)
         for d in (2, 3):
             for _ in range(4):
                 spectrum = random_spectrum(rng, d)
-                state = DiagonalState.from_spectrum(spectrum)
                 table_cache = SchurTable(spectrum, 8)
                 for n in range(1, 9):
                     for frame in enumerate_frames(d, n):
-                        expansion = character_from_weights(weight_multiplicities(frame), state)
+                        expansion = character_from_weights(weight_multiplicities(frame), spectrum)
                         direct = table_cache.log_value(frame.rows)
                         assert abs(expansion - direct) <= 1e-10
 
 
 class TestCharacterBounds:
     def test_pure_state_single_row_is_tight(self):
-        state = DiagonalState.from_spectrum(Spectrum((1.0, 0.0, 0.0)))
-        result = character_bounds_check(YoungFrame((6, 0, 0)), state)
+        spectrum = Spectrum((1.0, 0.0, 0.0))
+        result = character_bounds_check(YoungFrame((6, 0, 0)), spectrum)
         assert result.holds
         assert result.lower == pytest.approx(0.0, abs=1e-14)
         assert result.value == pytest.approx(0.0, abs=1e-14)
 
     def test_one_dimensional_block_pins_all_three(self):
-        state = DiagonalState.from_spectrum(Spectrum((0.5, 0.5)))
-        result = character_bounds_check(YoungFrame((1, 1)), state)
+        spectrum = Spectrum((0.5, 0.5))
+        result = character_bounds_check(YoungFrame((1, 1)), spectrum)
         assert result.holds
         assert result.lower == pytest.approx(math.log(0.25), abs=1e-13)
         assert result.value == pytest.approx(math.log(0.25), abs=1e-13)
         assert result.upper == pytest.approx(math.log(0.25), abs=1e-13)
 
     def test_generic_frame(self):
-        state = DiagonalState.from_spectrum(Spectrum((0.6, 0.3, 0.1)))
-        assert character_bounds_check(YoungFrame((2, 1, 0)), state).holds
+        spectrum = Spectrum((0.6, 0.3, 0.1))
+        assert character_bounds_check(YoungFrame((2, 1, 0)), spectrum).holds
 
     def test_random_sweep(self):
         rng = np.random.default_rng(29)
         for d in (2, 3):
             for _ in range(20):
-                state = DiagonalState.from_spectrum(random_spectrum(rng, d))
+                spectrum = random_spectrum(rng, d)
                 for n in range(1, 21):
                     for frame in enumerate_frames(d, n):
-                        assert character_bounds_check(frame, state).holds
+                        assert character_bounds_check(frame, spectrum).holds
 
     def test_one_tiny_eigenvalue(self):
         # q = 2e-300 at the top level: each weighted prefix sum rounds to its last term
-        state = DiagonalState.from_spectrum(Spectrum((0.5, 0.5 - 1e-300, 1e-300)))
+        spectrum = Spectrum((0.5, 0.5 - 1e-300, 1e-300))
         for n in range(1, 31):
             for frame in enumerate_frames(3, n):
-                assert character_bounds_check(frame, state).holds
+                assert character_bounds_check(frame, spectrum).holds
 
 
 class TestSymmetricGroupCharacters:
