@@ -209,8 +209,12 @@ class BallComplement(Region):
 
 @dataclass(frozen=True)
 class HalfSpace(Region):
-    """Points with normal . s >= offset; frame estimates are compared in
-    exact integer arithmetic, as in ``BallComplement``."""
+    """Points with normal . s >= offset.
+
+    Frame estimates are compared in exact integer arithmetic, as in
+    ``BallComplement``: pass ``Fraction`` data when they are meant as exact
+    decimals, since a binary float such as 0.9 lies just above 9/10.
+    """
 
     normal: tuple[float, ...]
     offset: float

@@ -190,6 +190,9 @@ class TestRegions:
         assert not region.contains_estimate(YoungFrame((5, 3, 2)))
         rows = np.array([[6, 3, 1], [5, 3, 2], [7, 3, 0]], dtype=np.int64)
         assert region.contains_estimates(rows).tolist() == [True, False, True]
+        # the binary float 0.9 lies just above 9/10, so it keeps the boundary out
+        binary = HalfSpace(normal=(1.0, 1.0, 0.0), offset=0.9)
+        assert binary.contains_estimates(rows).tolist() == [False, False, True]
 
     def test_zero_radius_keeps_everything_but_the_center(self):
         region = BallComplement(center=(0.75, 0.25), radius=0.0)
