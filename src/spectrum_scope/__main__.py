@@ -1,3 +1,3 @@
-from .cli import main
+from .cli import script_main
 
-raise SystemExit(main())
+script_main()

@@ -213,14 +213,15 @@ def _sample_shapes(cfg: SamplerConfig, chain: int, count: int) -> Counter:
     # the smallest signed type that holds -N - 1 holds [-N, N]
     path_type = np.min_scalar_type(-cfg.boxes - 1)
     state = path_type.itemsize
-    # per sample: the carried endpoints and pair peaks, and np.unique of the
-    # shapes (three copies, a mask and two int64 indices); per distinct shape
+    # per sample: the carried endpoints and pair peaks, and, to count the
+    # shapes, at most three copies of them (drawn, sorted, distinct) and two
+    # int64 indices (the sort's, then the cuts and counts); per distinct shape
     # (at most one per sample and one per weak composition of N into d
     # parts): its count under a Python tuple key, measured at most 140 + 48d
     # bytes; per block cell: the word in 8 bytes, three blocks at once
     # (filling, queued, read), and d paths and two pair rows; and numpy's
     # cast buffers, getbufsize() elements of at most 8 bytes
-    per_sample = state * (d + d * (d - 1) // 2) + 3 * state * d + 17
+    per_sample = state * (d + d * (d - 1) // 2) + 3 * state * d + 16
     # the number of weak compositions is formed exactly only when it is small
     log_compositions = math.lgamma(cfg.boxes + d) - math.lgamma(d) - math.lgamma(cfg.boxes + 1)
     distinct = count
@@ -235,8 +236,11 @@ def _sample_shapes(cfg: SamplerConfig, chain: int, count: int) -> Counter:
         )
     with _words_ahead(_chain_rng(cfg.seed, chain).bit_generator, cfg.boxes, steps, count) as word_blocks:
         shapes = _word_shapes(word_blocks, _word_thresholds(cfg.spectrum.values), d, count, path_type)
-    unique, multiplicities = np.unique(shapes, axis=0, return_counts=True)
-    return Counter(dict(zip(map(tuple, unique.tolist()), multiplicities.tolist())))
+    # distinct shapes in lexicographic order: sort the rows, then cut where a row changes;
+    # np.lexsort buffers an int64 index for strided keys, and none for contiguous ones
+    ordered = shapes[np.lexsort(np.ascontiguousarray(shapes.T[::-1]))]
+    cuts = np.flatnonzero(np.r_[True, (ordered[1:] != ordered[:-1]).any(axis=1), True])
+    return Counter(dict(zip(map(tuple, ordered[cuts[:-1]].tolist()), np.diff(cuts).tolist())))
 
 
 def sample_frame_counts(cfg: SamplerConfig, samples: int) -> Counter:

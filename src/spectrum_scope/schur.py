@@ -3,7 +3,8 @@
 The evaluator runs the branching recursion over interlacing sub-shapes,
 peeling one eigenvalue at a time, in float64 values normalised by the
 highest weight. Each step is one first-order recurrence per axis, the same
-for any number of rows and any eigenvalue ratio. Every summand is positive,
+for any number of rows and any eigenvalue ratio, run in slabs that merge or
+tile towards ``_SLAB_CELLS`` cells without moving a bit. Every summand is positive,
 so the result is accurate to rounding even for degenerate spectra. Tiny
 instances can be validated against symmetric-group characters via
 cycle-type sums.
@@ -34,6 +35,8 @@ CYCLE_SUM_MAX_BOXES = 8
 #: Cap on the top cube of a SchurTable plus its largest crop, 16 * prod of the
 #: staircase sides, checked before allocation.
 MAX_TABLE_BYTES = 2**29
+# cells one recurrence step of ``_branch`` touches at most, where the cube's shape allows
+_SLAB_CELLS = 2**12
 # rounding allowance on each side of the highest-weight sandwich in ``character_bounds_check``
 _BOUNDS_SLACK = 1e-10
 
@@ -48,15 +51,18 @@ def _branch(cube: np.ndarray, low: Sequence[int], ratios: Sequence[float]) -> No
     [Y_(a+1), Y_a] with weights q^(Y_a - mu_a). Every summand is positive and
     q S can only underflow towards 0. The masked leading rows are exact zeros
     and q 0 + 0 = 0, so a sum does not depend, to the bit, on where the crop
-    starts.
+    starts. Along axis a > 0 the rows of axis 0 are independent and run in
+    chunks of at most ``_SLAB_CELLS`` cells per slab: same operations, same order.
     """
     for a in range(cube.ndim - 2, -1, -1):
         here, after = (np.arange(n) + lo for n, lo in zip(cube.shape[a : a + 2], low[a : a + 2]))
         below = np.less.outer(here, after)
         np.copyto(cube, 0.0, where=below.reshape(below.shape + (1,) * (cube.ndim - a - 2)))
-        q, view = ratios[a], np.moveaxis(cube, a, 0)
-        for prev, row in zip(view, view[1:]):
-            row += q * prev
+        chunk = max(1, _SLAB_CELLS * cube.shape[0] * cube.shape[a] // cube.size) if a else len(cube)
+        for start in range(0, len(cube), chunk):
+            view = np.moveaxis(cube[start : start + chunk], a, 0)
+            for prev, row in zip(view, view[1:]):
+                row += ratios[a] * prev
 
 
 class SchurTable:
@@ -74,9 +80,10 @@ class SchurTable:
     over the box Y_(a+1) <= mu_a <= Y_a, with q_a = r_j / r_a <= 1, built by
     ``_branch``; every summand is positive (Demmel & Koev, Math. Comp. 75
     (2006)). Only the top cube is kept. The top level runs ``_branch`` once
-    per value of the last row, on a crop of the top cube; the cube and its
-    largest crop, 16 bytes per cell, are checked against ``MAX_TABLE_BYTES``
-    first. The table is read-only once built, so it may be shared freely.
+    per run of consecutive values of the last row, on one crop of the top
+    cube that is never larger than the cube; the cube and one crop, 16 bytes
+    per cell, are checked against ``MAX_TABLE_BYTES`` first. The table is
+    read-only once built, so it may be shared freely.
     """
 
     def __init__(self, spectrum: Spectrum, max_boxes: int):
@@ -113,11 +120,12 @@ class SchurTable:
         """ln s_Y(r) for each shape, one non-negative, non-increasing row of ``rows`` per shape.
 
         Rows shorter than k are read as zero-padded. Shapes are batched by
-        Y_m, the first row the top cube does not index; a batch branches the
-        crop [min Y_(a+1), max Y_a] on each axis a. Terms below Y_(a+1) are
-        masked to exact zeros, which the recurrence carries as zeros
-        (q 0 + 0 = 0), so a value does not depend, to the bit, on the rest of
-        its batch. The only log is taken here:
+        runs of consecutive values of Y_m, the first row the top cube does not
+        index, while the batch's crop, [min Y_(a+1), max Y_a] on each axis a
+        and [min Y_m, max Y_m] on the last, fits in the top cube with slabs of
+        at most ``_SLAB_CELLS`` cells. Terms below Y_(a+1) are masked to exact
+        zeros, which the recurrence carries as zeros (q 0 + 0 = 0), so a value
+        does not depend, to the bit, on the rest of its batch. The only log is taken here:
         ln s_Y = ln L_k(Y) + sum_a Y_a ln r_a, summed column by column.
         """
         rows, k, m = np.asarray(rows, dtype=np.int64), self._k, self._cube.ndim
@@ -135,13 +143,26 @@ class SchurTable:
         top = np.ones(len(rows))
         live = ~rows[:, k:].any(axis=1)  # more nonzero rows than eigenvalues: exactly 0
         ratios = [self._r[-1] / v for v in self._r[:m]]
-        for y in np.flatnonzero(np.bincount(rows[live, m])):
-            pick = np.flatnonzero(live & (rows[:, m] == y))
-            shapes = rows[pick, : m + 1]
-            low, high = shapes[:, 1:].min(axis=0), shapes[:, :m].max(axis=0)
-            crop = self._cube[tuple(map(slice, low, high + 1)) + (None,)].copy()
-            _branch(crop, (*low, y), ratios)
-            top[pick] = crop[(*(shapes[:, :m] - low).T, 0)]
+        pick = np.flatnonzero(live)[np.argsort(rows[live, m], kind="stable")]
+        shapes = rows[pick, : m + 1]
+        cuts = [*np.flatnonzero(np.diff(shapes[:, m], prepend=-1)).tolist(), len(pick)]
+        # per value y of Y_m, the crop [min Y_(a+1), max Y_a] on each axis a, then [y, y]
+        lows = np.minimum.reduceat(shapes[:, [*range(1, m + 1), m]], cuts[:-1]).tolist()
+        highs = np.maximum.reduceat(shapes, cuts[:-1]).tolist()
+        g = 0
+        while g < len(lows):
+            low, high, end = lows[g], highs[g], g + 1
+            while end < len(lows):
+                lo, hi = list(map(min, low, lows[end])), list(map(max, high, highs[end]))
+                sides = [h - l + 1 for l, h in zip(lo, hi)]
+                if math.prod(sides) > min(self._cube.size, _SLAB_CELLS * min(sides[:m], default=1)):
+                    break
+                low, high, end = lo, hi, end + 1
+            crop = np.empty([h - l + 1 for l, h in zip(low, high)])
+            crop[...] = self._cube[tuple(slice(l, h + 1) for l, h in zip(low[:m], high)) + (None,)]
+            _branch(crop, low, ratios)
+            top[pick[cuts[g] : cuts[end]]] = crop[tuple((shapes[cuts[g] : cuts[end]] - low).T)]
+            g = end
         # not rows @ log r, whose order may vary with the batch
         highest = weighted_dots(rows, [math.log(v) for v in self._r])
         return np.where(live, np.log(top) + highest, NEG_INF)

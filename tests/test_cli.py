@@ -1,4 +1,5 @@
 import csv
+import gc
 import hashlib
 import json
 import math
@@ -248,6 +249,61 @@ def test_fuzzed_numbers_exit_cleanly(argv):
             assert os.listdir(tmp) == [], argv
         else:
             assert "nan" not in Path(tmp, "out.dat").read_text().lower(), argv
+
+
+class TestEntryPoint:
+    # ``python -m spectrum_scope`` and the installed script run ``script_main``,
+    # which turns the cyclic collector off and freezes the heap when ``main`` returns
+    def test_in_process_main_leaves_the_collector_alone(self, tmp_path):
+        frozen = gc.get_freeze_count()
+        assert gc.isenabled()
+        assert run(["dist", "--d", 3, "--n", 12, "--spectrum", "0.5,0.3,0.2", "--out", tmp_path / "x.csv"]) == 0
+        assert gc.isenabled()
+        assert gc.get_freeze_count() == frozen
+
+    def test_script_main_runs_without_the_collector(self):
+        script = (
+            "import gc, sys\nfrom spectrum_scope import cli\nsys.argv[1:] = ['--version']\n"
+            "try:\n    cli.script_main()\nexcept SystemExit as stop:\n"
+            "    print(stop.code, gc.isenabled(), gc.get_freeze_count() > 0)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script], env=subprocess_env(), capture_output=True, text=True)
+        assert proc.stdout.split() == ["0.1.0", "0", "False", "True"], proc.stderr
+
+    def test_module_run_writes_the_in_process_bytes(self, tmp_path, monkeypatch):
+        argv = ["dist", "--d", "3", "--n", "40", "--spectrum", "0.5,0.3,0.2", "--out", "law.csv"]
+        child, here = tmp_path / "child", tmp_path / "here"
+        child.mkdir()
+        here.mkdir()
+        proc = subprocess.run(
+            [sys.executable, "-m", "spectrum_scope", *argv], cwd=child, env=subprocess_env(), capture_output=True
+        )
+        assert proc.returncode == 0, proc.stderr
+        monkeypatch.chdir(here)
+        assert main(argv) == 0
+        for name in ("law.csv", "law.csv.manifest.json"):
+            assert (child / name).read_bytes() == (here / name).read_bytes()
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["--version"], 0),
+            (["dist", "--d", "2", "--n", "2", "--spectrum", "0.7,0.4"], 2),
+            (["dist", "--d", "2", "--n", "401", "--spectrum", "0.5,0.5"], 3),
+        ],
+        ids=["version", "bad-input", "cap"],
+    )
+    def test_exit_codes_through_the_entry_point(self, tmp_path, argv, code):
+        out = [] if argv == ["--version"] else ["--out", str(tmp_path / "x.csv")]
+        proc = subprocess.run(
+            [sys.executable, "-m", "spectrum_scope", *argv, *out], env=subprocess_env(), capture_output=True, text=True
+        )
+        assert proc.returncode == code, proc.stderr
+        if code == 0:
+            assert proc.stdout == "0.1.0\n"
+        else:
+            assert proc.stderr.startswith("error: ")
+            assert list(tmp_path.iterdir()) == []
 
 
 class TestManifest:

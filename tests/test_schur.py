@@ -125,6 +125,53 @@ class TestSchurLog:
         full, part = table.log_values(rows)[pick], table.log_values(rows[pick])
         assert full.tobytes() == part.tobytes()
 
+    @pytest.mark.parametrize(
+        "values, boxes",
+        [
+            ((0.6, 0.39999, 0.00001), 60),
+            ((0.375, 0.375, 0.125, 0.125), 40),
+            ((0.5, 0.3, 0.2, 0.0, 0.0), 20),
+            ((0.25, 0.2, 0.2, 0.15, 0.12, 0.08), 12),
+        ],
+    )
+    def test_slab_bound_does_not_move_a_bit(self, monkeypatch, values, boxes):
+        # 1 tiles every slab down to one row of axis 0 and merges no crops;
+        # 2**30 tiles nothing and merges every run the top cube allows
+        rows = all_rows(len(values), boxes)
+        results = set()
+        for cells in (1, 64, 2**30):
+            monkeypatch.setattr(schur, "_SLAB_CELLS", cells)
+            table = SchurTable(Spectrum(values), boxes)
+            results.add((table.log_values(rows).tobytes(), table._cube.tobytes()))
+        assert len(results) == 1
+
+    def test_one_crop_spans_every_last_row_value(self, monkeypatch):
+        # last rows 15..20 in a narrow band: one crop of 4 x 8 x 6 cells, slabs of 48
+        rows = np.array([(20, 20, 20), (21, 20, 19), (22, 21, 17), (23, 22, 15)])
+        table = SchurTable(Spectrum((0.5, 0.3, 0.2)), 60)
+        singles = np.concatenate([table.log_values(row[None]) for row in rows])
+        crops = []
+        branch = schur._branch
+        monkeypatch.setattr(schur, "_branch", lambda cube, *args: crops.append(cube.shape) or branch(cube, *args))
+        for cells in (1, 64, 2**30):
+            monkeypatch.setattr(schur, "_SLAB_CELLS", cells)
+            crops.clear()
+            assert table.log_values(rows).tobytes() == singles.tobytes()
+            if cells == 1:
+                assert [shape[-1] for shape in crops] == [1] * 4
+            else:
+                assert crops == [(4, 8, 6)]
+
+    @pytest.mark.parametrize("values, boxes", [((0.5, 0.3, 0.2), 3), ((0.5, 0.3, 0.2), 200), ((0.3, 0.25, 0.2, 0.15, 0.1), 3)])
+    def test_no_crop_outgrows_the_top_cube(self, monkeypatch, values, boxes):
+        # MAX_TABLE_BYTES counts the top cube and one crop
+        table = SchurTable(Spectrum(values), boxes)
+        sizes = []
+        branch = schur._branch
+        monkeypatch.setattr(schur, "_branch", lambda cube, *args: sizes.append(cube.size) or branch(cube, *args))
+        table.log_values(all_rows(len(values), boxes))
+        assert sizes and max(sizes) <= table._cube.size
+
     def test_uniform_spectrum_at_the_table_cap(self):
         # every q is 1 (all eigenvalues tied); s_Y(1/d, ..., 1/d) = dim V_Y / d^N
         table = SchurTable(Spectrum((1 / 8,) * 8), 37)
