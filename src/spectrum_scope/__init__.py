@@ -29,26 +29,23 @@ _EXPORTS = {
         "log_dim_symmetric_irrep",
         "log_dim_unitary_irrep",
     ),
-    "schur": (
+    "schur": ("SchurTable", "schur_log"),
+    "characters": (
         "CharacterBounds",
-        "SchurTable",
         "WeightTable",
         "brute_force_frame_probability",
         "character_bounds_check",
         "character_from_weights",
-        "schur_log",
         "sn_character",
         "weight_multiplicities",
     ),
-    "measure": (
+    "measure": ("SchurWeylDistribution", "distribution_mode", "exact_distribution"),
+    "regions": (
         "BallComplement",
         "FrameSet",
         "HalfSpace",
         "PredicateRegion",
         "Region",
-        "SchurWeylDistribution",
-        "distribution_mode",
-        "exact_distribution",
         "expectation_of",
         "region_log_probability",
         "region_probability",

@@ -3,8 +3,8 @@
 Every data-writing invocation also writes a run manifest next to its output
 (``<out>.manifest.json``) holding the resolved arguments and the SHA-256 of
 the produced bytes; re-running the recorded argv reproduces the file
-exactly. Exit codes: 0 success, 1 failed invariant, 2 bad input, 3 resource
-cap, 4 numerical non-convergence.
+exactly. Exit codes: 0 success, 1 failed invariant, 2 bad input (an
+unwritable ``--out`` included), 3 resource cap, 4 numerical non-convergence.
 """
 from __future__ import annotations
 
@@ -15,7 +15,6 @@ import importlib
 import json
 import math
 import sys
-from fractions import Fraction
 from pathlib import Path
 from typing import TYPE_CHECKING, Sequence
 
@@ -92,12 +91,19 @@ def _render_json(obj, indent: int = 0) -> str:
     return json.dumps(str(obj))
 
 
+def _write_bytes(path: str, data: bytes) -> None:
+    try:
+        Path(path).write_bytes(data)
+    except OSError as exc:
+        raise _UsageError(f"could not write {path}: {exc.strerror or exc}") from exc
+
+
 def _write_text(path: str | None, text: str) -> bytes:
     data = text.encode("utf-8")
     if path is None:
         sys.stdout.write(text)
     else:
-        Path(path).write_bytes(data)
+        _write_bytes(path, data)
     return data
 
 
@@ -151,7 +157,7 @@ def _write_manifest(command: str, args: argparse.Namespace, argv: list[str], dat
             "sha256": hashlib.sha256(data).hexdigest(),
         },
     }
-    Path(args.out + ".manifest.json").write_text(_render_json(manifest) + "\n", encoding="utf-8")
+    _write_bytes(args.out + ".manifest.json", (_render_json(manifest) + "\n").encode("utf-8"))
 
 
 def replay_manifest(manifest_path: str) -> int:
@@ -203,16 +209,6 @@ def _parse_int_list(text: str) -> list[int]:
         raise _UsageError(f"could not parse integer list {text!r}: {exc}") from exc
 
 
-def _exact_center(text: str) -> tuple[Fraction, ...]:
-    """Region center as exact decimals, normalized and sorted descending."""
-    try:
-        parts = [Fraction(part) for part in text.split(",")]
-    except (ValueError, ZeroDivisionError) as exc:
-        raise _UsageError(f"could not parse spectrum {text!r}: {exc}") from exc
-    total = sum(parts)
-    return tuple(sorted((p / total for p in parts), reverse=True))
-
-
 def _cmd_dist(args: argparse.Namespace, argv: list[str]) -> int:
     from .frames import frame_to_estimate
     from .measure import distribution_mode
@@ -245,7 +241,9 @@ def _cmd_dist(args: argparse.Namespace, argv: list[str]) -> int:
 
 
 def _cmd_rate_scan(args: argparse.Namespace, argv: list[str]) -> int:
-    from .measure import BallComplement
+    from fractions import Fraction
+
+    from .regions import BallComplement
 
     spectrum_text = _spectrum_text(args)
     spectrum = _parse_spectrum(spectrum_text, args.d, args.allow_unsorted)
@@ -259,8 +257,13 @@ def _cmd_rate_scan(args: argparse.Namespace, argv: list[str]) -> int:
     boxes_list = _parse_int_list(args.n_list)
     if any(n < 1 for n in boxes_list):
         raise _UsageError("--n-list entries must be positive")
-    # exact decimal region data, so boundary estimates classify exactly
-    region = BallComplement(center=_exact_center(spectrum_text), radius=epsilon)
+    # exact decimal region data, normalized and sorted descending, so boundary estimates classify exactly
+    try:
+        parts = [Fraction(part) for part in spectrum_text.split(",")]
+    except (ValueError, ZeroDivisionError) as exc:
+        raise _UsageError(f"could not parse spectrum {spectrum_text!r}: {exc}") from exc
+    total = sum(parts)
+    region = BallComplement(center=tuple(sorted((p / total for p in parts), reverse=True)), radius=epsilon)
     profile = _library_call("rate_scan")(args.d, spectrum, region, boxes_list)
     target = profile.target
     header = ["N", "region_prob", "decay_rate", "target_rate"]
@@ -409,6 +412,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.out is not None and not Path(args.out).parent.is_dir():
+            raise _UsageError(f"could not write {args.out}: no directory {Path(args.out).parent}")
         return args.func(args, argv)
     except (_UsageError, EmptyRegionError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -17,15 +17,8 @@ import numpy as np
 from .errors import ConvergenceError, EmptyRegionError, ResourceLimitError
 from .frames import Spectrum, frame_count, frame_rows, log_frobenius_dims
 from .logspace import NEG_INF, log_each, log_sum_exp, weighted_dots
-from .measure import (
-    BallComplement,
-    FrameSet,
-    HalfSpace,
-    Region,
-    check_enumeration_cap,
-    exact_distribution,
-    region_log_probability,
-)
+from .measure import check_enumeration_cap, exact_distribution
+from .regions import BallComplement, FrameSet, HalfSpace, Region, region_log_probability
 from .schur import SchurTable
 
 _GRID_RESOLUTION = 200

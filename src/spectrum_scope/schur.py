@@ -1,44 +1,30 @@
-"""Stable evaluation of Schur polynomials, weights, and character bounds.
+"""Stable evaluation of Schur polynomials through the positive branching rule.
 
 The evaluator runs the branching recursion over interlacing sub-shapes,
 peeling one eigenvalue at a time, in float64 values normalised by the
 highest weight. Each step is one first-order recurrence per axis, the same
 for any number of rows and any eigenvalue ratio, run in slabs that merge or
 tile towards ``_SLAB_CELLS`` cells without moving a bit. Every summand is positive,
-so the result is accurate to rounding even for degenerate spectra. Tiny
-instances can be validated against symmetric-group characters via
-cycle-type sums.
+so the result is accurate to rounding even for degenerate spectra. The
+weight, character and cycle-type oracles that validate it live in
+``characters``.
 """
 from __future__ import annotations
 
 import math
-from collections import Counter
-from dataclasses import dataclass
-from functools import cache
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import ResourceLimitError
-from .frames import (
-    YoungFrame,
-    Spectrum,
-    dim_symmetric_irrep,
-    enumerate_frames,
-    log_dim_unitary_irrep,
-)
-from .logspace import NEG_INF, log_each, log_sum_exp, weighted_dots
+from .frames import YoungFrame, Spectrum
+from .logspace import NEG_INF, weighted_dots
 
-KOSTKA_MAX_BOXES = 12
-KOSTKA_MAX_ROWS = 4
-CYCLE_SUM_MAX_BOXES = 8
-#: Cap on the top cube of a SchurTable plus its largest crop, 16 * prod of the
-#: staircase sides, checked before allocation.
+#: Cap on the top cube of a SchurTable plus its largest crop, 8 bytes per
+#: cell, checked before allocation.
 MAX_TABLE_BYTES = 2**29
 # cells one recurrence step of ``_branch`` touches at most, where the cube's shape allows
 _SLAB_CELLS = 2**12
-# rounding allowance on each side of the highest-weight sandwich in ``character_bounds_check``
-_BOUNDS_SLACK = 1e-10
 
 
 def _branch(cube: np.ndarray, low: Sequence[int], ratios: Sequence[float]) -> None:
@@ -80,10 +66,13 @@ class SchurTable:
     over the box Y_(a+1) <= mu_a <= Y_a, with q_a = r_j / r_a <= 1, built by
     ``_branch``; every summand is positive (Demmel & Koev, Math. Comp. 75
     (2006)). Only the top cube is kept. The top level runs ``_branch`` once
-    per run of consecutive values of the last row, on one crop of the top
-    cube that is never larger than the cube; the cube and one crop, 16 bytes
-    per cell, are checked against ``MAX_TABLE_BYTES`` first. The table is
-    read-only once built, so it may be shared freely.
+    per run of consecutive values of the last row, on one crop. A crop of
+    one value is a box of the cube. A merged crop keeps every slab within
+    ``_SLAB_CELLS`` cells, and its shortest leading axis has at most
+    N//m + 1 values, m the cube's axis count, so it holds at most
+    ``_SLAB_CELLS`` (N//m + 1) cells. The cube and the larger of the two
+    crop bounds, 8 bytes per cell, are checked against ``MAX_TABLE_BYTES``
+    first. The table is read-only once built, so it may be shared freely.
     """
 
     def __init__(self, spectrum: Spectrum, max_boxes: int):
@@ -93,11 +82,13 @@ class SchurTable:
         self.max_boxes = max_boxes
         self._r = [v for v in spectrum.values if v > 0.0]
         self._k = len(self._r)
-        needed = 16 * math.prod(max_boxes // (a + 1) + 1 for a in range(min(self._k - 1, max_boxes)))
+        m = min(self._k - 1, max_boxes)
+        cube = math.prod(max_boxes // (a + 1) + 1 for a in range(m))
+        needed = 8 * (cube + max(cube, _SLAB_CELLS * (max_boxes // m + 1 if m else 1)))
         if needed > MAX_TABLE_BYTES:
             raise ResourceLimitError(
                 f"a Schur table for {self._k} positive eigenvalues and N={max_boxes} needs "
-                f"{needed} bytes (top cube and one crop), over the cap of {MAX_TABLE_BYTES} bytes"
+                f"{needed} bytes (top cube and largest crop), over the cap of {MAX_TABLE_BYTES} bytes"
             )
         self._cube = self._build()
 
@@ -122,9 +113,10 @@ class SchurTable:
         Rows shorter than k are read as zero-padded. Shapes are batched by
         runs of consecutive values of Y_m, the first row the top cube does not
         index, while the batch's crop, [min Y_(a+1), max Y_a] on each axis a
-        and [min Y_m, max Y_m] on the last, fits in the top cube with slabs of
-        at most ``_SLAB_CELLS`` cells. Terms below Y_(a+1) are masked to exact
-        zeros, which the recurrence carries as zeros (q 0 + 0 = 0), so a value
+        and [min Y_m, max Y_m] on the last, has slabs of at most
+        ``_SLAB_CELLS`` cells; one value alone always forms a batch. Terms
+        below Y_(a+1) are masked to exact zeros, which the recurrence
+        carries as zeros (q 0 + 0 = 0), so a value
         does not depend, to the bit, on the rest of its batch. The only log is taken here:
         ln s_Y = ln L_k(Y) + sum_a Y_a ln r_a, summed column by column.
         """
@@ -155,7 +147,7 @@ class SchurTable:
             while end < len(lows):
                 lo, hi = list(map(min, low, lows[end])), list(map(max, high, highs[end]))
                 sides = [h - l + 1 for l, h in zip(lo, hi)]
-                if math.prod(sides) > min(self._cube.size, _SLAB_CELLS * min(sides[:m], default=1)):
+                if math.prod(sides) > _SLAB_CELLS * min(sides[:m], default=1):
                     break
                 low, high, end = lo, hi, end + 1
             crop = np.empty([h - l + 1 for l, h in zip(low, high)])
@@ -171,172 +163,3 @@ class SchurTable:
 def schur_log(frame: YoungFrame, spectrum: Spectrum) -> float:
     """ln s_Y(r) via the positive branching recursion; -inf when s_Y(r) = 0."""
     return SchurTable(spectrum, frame.boxes).log_value(frame.rows)
-
-
-@dataclass(frozen=True)
-class WeightTable:
-    """Multiplicity of every weight of the unitary irrep labeled by a shape."""
-
-    shape: tuple[int, ...]
-    entries: Mapping[tuple[int, ...], int]
-
-    def multiplicity(self, weight: Sequence[int]) -> int:
-        return self.entries.get(tuple(weight), 0)
-
-    def total(self) -> int:
-        return sum(self.entries.values())
-
-
-def weight_multiplicities(frame: YoungFrame) -> WeightTable:
-    """Kostka counts: semistandard fillings of the shape per content vector."""
-    d = frame.d
-    if d > KOSTKA_MAX_ROWS or frame.boxes > KOSTKA_MAX_BOXES:
-        raise ResourceLimitError(
-            f"weight table enumeration is capped at d <= {KOSTKA_MAX_ROWS}, "
-            f"N <= {KOSTKA_MAX_BOXES}; got d={d}, N={frame.boxes}"
-        )
-    shape = frame.rows
-    counts: Counter[tuple[int, ...]] = Counter()
-    for content in _ssyt_contents(shape, d):
-        counts[content] += 1
-    return WeightTable(shape=shape, entries=dict(counts))
-
-
-def _interlacing_shapes(shape: tuple[int, ...]):
-    """All shapes one row shorter that interlace ``shape`` (horizontal strips)."""
-    bounds = [(shape[i + 1], shape[i]) for i in range(len(shape) - 1)]
-
-    def rec(index: int, prefix: tuple[int, ...]):
-        if index == len(bounds):
-            yield prefix
-            return
-        low, high = bounds[index]
-        for part in range(high, low - 1, -1):
-            yield from rec(index + 1, prefix + (part,))
-
-    yield from rec(0, ())
-
-
-def _ssyt_contents(shape: tuple[int, ...], level: int):
-    """Content vectors of semistandard fillings, one per filling."""
-    if level == 1:
-        yield (shape[0],)
-        return
-    size = sum(shape)
-    for inner in _interlacing_shapes(shape):
-        strip = size - sum(inner)
-        for content in _ssyt_contents(inner, level - 1):
-            yield content + (strip,)
-
-
-def character_from_weights(table: WeightTable, spectrum: Spectrum) -> float:
-    """Character as the weight expansion: log-sum of m(mu) * r^mu."""
-    weights = sorted(table.entries)
-    logs = np.array([math.log(table.entries[weight]) for weight in weights])
-    return log_sum_exp(logs + weighted_dots(weights, log_each(spectrum)))
-
-
-@dataclass(frozen=True)
-class CharacterBounds:
-    """Highest-weight sandwich around a character value, in log space."""
-
-    lower: float
-    value: float
-    upper: float
-    holds: bool
-
-
-def character_bounds_check(frame: YoungFrame, spectrum: Spectrum) -> CharacterBounds:
-    """Check r^Y <= s_Y(r) <= dim V_Y * r^Y, in logs, for the frame's shape."""
-    d = spectrum.d
-    if frame.nonzero_rows() > d:
-        raise ValueError(f"frame {frame} has more than {d} nonzero rows")
-    rows = (frame.rows + (0,) * d)[:d]
-    lower = float(weighted_dots([rows], log_each(spectrum))[0])
-    upper = lower + log_dim_unitary_irrep(frame, d)
-    value = SchurTable(spectrum, frame.boxes).log_value(rows)
-    holds = (lower - _BOUNDS_SLACK <= value) and (value <= upper + _BOUNDS_SLACK)
-    return CharacterBounds(lower=lower, value=value, upper=upper, holds=holds)
-
-
-@cache
-def _mn_character(rows: tuple[int, ...], cycles: tuple[int, ...]) -> int:
-    if not cycles:
-        return 1
-    strip_length = cycles[0]
-    rest = cycles[1:]
-    count = len(rows)
-    beta = [rows[i] + count - 1 - i for i in range(count)]
-    beta_set = set(beta)
-    total = 0
-    for b in beta:
-        nb = b - strip_length
-        if nb < 0 or nb in beta_set:
-            continue
-        height = sum(1 for other in beta if nb < other < b)
-        new_beta = sorted((beta_set - {b}) | {nb}, reverse=True)
-        new_rows = tuple(new_beta[i] - (count - 1 - i) for i in range(count))
-        while new_rows and new_rows[-1] == 0:
-            new_rows = new_rows[:-1]
-        total += (-1) ** height * _mn_character(new_rows, rest)
-    return total
-
-
-def sn_character(frame: YoungFrame, cycle_type: Sequence[int]) -> int:
-    """Symmetric-group character of the irrep labeled by the frame.
-
-    Border-strip recursion on beta sets; exact integers. Capped at tiny box
-    counts because it only backs the cycle-type probability oracle.
-    """
-    n = frame.boxes
-    if n > CYCLE_SUM_MAX_BOXES:
-        raise ResourceLimitError(
-            f"symmetric-group characters are capped at N <= {CYCLE_SUM_MAX_BOXES}, got N={n}"
-        )
-    cycles = tuple(int(c) for c in cycle_type)
-    if sum(cycles) != n:
-        raise ValueError(f"cycle type {cycles} is not a partition of {n}")
-    if any(c < 1 for c in cycles):
-        raise ValueError(f"cycle lengths must be positive: {cycles}")
-    if any(a < b for a, b in zip(cycles, cycles[1:])):
-        raise ValueError(f"cycle type must be non-increasing: {cycles}")
-    rows = tuple(v for v in frame.rows if v > 0)
-    return _mn_character(rows, cycles)
-
-
-def _power_sum(spectrum: Spectrum, k: int) -> float:
-    return math.fsum(v**k for v in spectrum)
-
-
-def brute_force_frame_probability(frame: YoungFrame, spectrum: Spectrum) -> float:
-    """Outcome probability of one frame via the cycle-type sum.
-
-    Independent oracle: combines symmetric-group characters with power sums
-    of the eigenvalues over all cycle classes, weighted by class size. Only
-    feasible for tiny box counts.
-    """
-    n = frame.boxes
-    if n > CYCLE_SUM_MAX_BOXES:
-        raise ResourceLimitError(
-            f"cycle-type sums are capped at N <= {CYCLE_SUM_MAX_BOXES}, got N={n}"
-        )
-    if frame.d != spectrum.d:
-        raise ValueError("frame and spectrum dimensions differ")
-    if n == 0:
-        return 1.0
-    total = 0.0
-    # cycle types: partitions of n, largest part first
-    for cycle_frame in enumerate_frames(n, n):
-        cycles = tuple(part for part in cycle_frame.rows if part)
-        character = sn_character(frame, cycles)
-        if character == 0:
-            continue
-        multiplicity = Counter(cycles)
-        symmetry = 1
-        for part, reps in multiplicity.items():
-            symmetry *= part**reps * math.factorial(reps)
-        weight = 1.0
-        for part in cycles:
-            weight *= _power_sum(spectrum, part)
-        total += character * weight / symmetry
-    return dim_symmetric_irrep(frame) * total

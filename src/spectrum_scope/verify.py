@@ -15,14 +15,11 @@ from typing import Sequence
 import numpy as np
 
 from . import ldp
+from .characters import brute_force_frame_probability, character_bounds_check
 from .frames import Spectrum, enumerate_frames
 from .measure import exact_distribution
 from .rsk import SamplerConfig, empirical_distribution
-from .schur import (
-    SchurTable,
-    brute_force_frame_probability,
-    character_bounds_check,
-)
+from .schur import SchurTable
 
 QUICK = "quick"
 FULL = "full"

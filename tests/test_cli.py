@@ -1,6 +1,7 @@
 import csv
 import gc
 import hashlib
+import importlib
 import json
 import math
 import os
@@ -180,6 +181,38 @@ def test_missing_spectrum_above_one_level_is_bad_input(tmp_path, capsys, command
     assert run(command + ["--d", 2, "--out", tmp_path / "out.csv"]) == 2
     assert capsys.readouterr().err == "error: --spectrum is required for d > 1\n"
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "command, call",
+    [
+        (["dist", "--d", 2, "--n", 3, "--spectrum", "0.5,0.5"], "exact_distribution"),
+        (["sample", "--d", 2, "--n", 3, "--spectrum", "0.5,0.5", "--samples", 2], "empirical_distribution"),
+        (["rate-scan", "--d", 2, "--spectrum", "0.5,0.5", "--epsilon", "0.1", "--n-list", "10"], "rate_scan"),
+        (["legendre", "--d", 2, "--spectrum", "0.6,0.4", "--s-point", "0.5,0.5"], "legendre_of_cgf"),
+        (["verify"], "run_checks"),
+    ],
+    ids=lambda value: value[0] if isinstance(value, list) else value,
+)
+def test_output_in_a_missing_directory_is_bad_input(tmp_path, capsys, monkeypatch, command, call):
+    # the directory is checked before the command computes anything
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"{call} ran")
+
+    monkeypatch.setattr(importlib.import_module(f"spectrum_scope.{cli._LIBRARY_CALLS[call]}"), call, refuse)
+    assert run(command + ["--out", tmp_path / "missing" / "out.csv"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err, err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("blocked", ["out.csv", "out.csv.manifest.json"], ids=["data", "manifest"])
+def test_unwritable_output_is_bad_input(tmp_path, capsys, blocked):
+    # a directory where the data or the manifest goes makes the write fail
+    (tmp_path / blocked).mkdir()
+    assert run(["dist", "--d", 2, "--n", 3, "--spectrum", "0.5,0.5", "--out", tmp_path / "out.csv"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: could not write {tmp_path / blocked}: ") and err.count("\n") == 1, err
 
 
 def _exit_code(argv):
@@ -556,16 +589,19 @@ class TestModuleLoading:
         "argv, absent",
         [
             (["--version"], ["numpy"]),
-            (["dist", "--d", "3", "--n", "20", "--spectrum", "0.5,0.3,0.2"], ["ldp", "rsk", "verify"]),
+            (
+                ["dist", "--d", "3", "--n", "20", "--spectrum", "0.5,0.3,0.2"],
+                ["fractions", ".regions", ".characters", ".ldp", ".rsk", ".verify"],
+            ),
             (
                 ["sample", "--d", "3", "--n", "20", "--spectrum", "0.5,0.3,0.2", "--samples", "10"],
-                ["schur", "measure", "ldp", "verify"],
+                ["fractions", ".schur", ".measure", ".ldp", ".verify"],
             ),
         ],
         ids=["version", "dist", "sample"],
     )
     def test_command_loads_only_what_it_runs(self, tmp_path, argv, absent):
-        names = [name if name == "numpy" else f"spectrum_scope.{name}" for name in absent]
+        names = [f"spectrum_scope{name}" if name.startswith(".") else name for name in absent]
         out = [] if argv == ["--version"] else ["--out", str(tmp_path / "out.csv")]
         proc = subprocess.run(
             [sys.executable, "-c", _LOADING_SCRIPT, ",".join(names), *argv, *out],

@@ -132,14 +132,17 @@ class TestSchurLog:
             ((0.375, 0.375, 0.125, 0.125), 40),
             ((0.5, 0.3, 0.2, 0.0, 0.0), 20),
             ((0.25, 0.2, 0.2, 0.15, 0.12, 0.08), 12),
+            ((0.5, 0.3, 0.2), 200),
+            ((0.6, 0.39999, 0.00001), 200),
         ],
     )
     def test_slab_bound_does_not_move_a_bit(self, monkeypatch, values, boxes):
         # 1 tiles every slab down to one row of axis 0 and merges no crops;
-        # 2**30 tiles nothing and merges every run the top cube allows
+        # 2**18 tiles nothing and merges every run into one crop here, and
+        # keeps the counted crop, 2**18 (N//m + 1) cells, within MAX_TABLE_BYTES
         rows = all_rows(len(values), boxes)
         results = set()
-        for cells in (1, 64, 2**30):
+        for cells in (1, 64, 2**18):
             monkeypatch.setattr(schur, "_SLAB_CELLS", cells)
             table = SchurTable(Spectrum(values), boxes)
             results.add((table.log_values(rows).tobytes(), table._cube.tobytes()))
@@ -163,14 +166,44 @@ class TestSchurLog:
                 assert crops == [(4, 8, 6)]
 
     @pytest.mark.parametrize("values, boxes", [((0.5, 0.3, 0.2), 3), ((0.5, 0.3, 0.2), 200), ((0.3, 0.25, 0.2, 0.15, 0.1), 3)])
-    def test_no_crop_outgrows_the_top_cube(self, monkeypatch, values, boxes):
-        # MAX_TABLE_BYTES counts the top cube and one crop
+    def test_no_crop_outgrows_the_counted_crop(self, monkeypatch, values, boxes):
+        # MAX_TABLE_BYTES counts the top cube and the larger of the cube and
+        # _SLAB_CELLS (N//m + 1) cells, m the cube's axis count
         table = SchurTable(Spectrum(values), boxes)
+        m = table._cube.ndim
+        counted = max(table._cube.size, schur._SLAB_CELLS * (boxes // m + 1))
         sizes = []
         branch = schur._branch
         monkeypatch.setattr(schur, "_branch", lambda cube, *args: sizes.append(cube.size) or branch(cube, *args))
         table.log_values(all_rows(len(values), boxes))
-        assert sizes and max(sizes) <= table._cube.size
+        assert sizes and max(sizes) <= counted
+
+    @pytest.mark.parametrize(
+        "values, boxes, crops",
+        [
+            ((0.5, 0.3, 0.2), 200, [(201, 101, 20), (141, 71, 29), (54, 27, 18)]),
+            (
+                (0.4, 0.3, 0.2, 0.1),
+                100,
+                [
+                    (101, 51, 34, 1), (97, 49, 33, 1), (93, 47, 31, 1), (89, 45, 30, 1), (85, 43, 29, 1),
+                    (81, 41, 27, 1), (77, 39, 26, 1), (73, 37, 25, 1), (69, 35, 23, 1), (65, 33, 22, 1),
+                    (61, 31, 21, 2), (53, 27, 18, 2), (45, 23, 15, 3), (33, 17, 11, 7), (5, 3, 2, 2),
+                ],
+            ),
+        ],
+        ids=["d3", "d4"],
+    )
+    def test_crops_the_slab_rule_forms(self, monkeypatch, values, boxes, crops):
+        # d3 N200 merges its 201 last-row values into 3 crops, up to 20 times
+        # the top cube; d4 N100 forms the 15 crops it formed when the top
+        # cube's size also bounded them
+        table = SchurTable(Spectrum(values), boxes)
+        shapes = []
+        branch = schur._branch
+        monkeypatch.setattr(schur, "_branch", lambda cube, *args: shapes.append(cube.shape) or branch(cube, *args))
+        table.log_values(all_rows(len(values), boxes))
+        assert shapes == crops
 
     def test_uniform_spectrum_at_the_table_cap(self):
         # every q is 1 (all eigenvalues tied); s_Y(1/d, ..., 1/d) = dim V_Y / d^N
@@ -181,8 +214,10 @@ class TestSchurLog:
 
     def test_table_cap_checked_before_allocating(self, monkeypatch):
         spectrum = Spectrum((0.4, 0.3, 0.2, 0.1))
-        # staircase top cube of sides 61, 31, 21, plus a crop as large as it
-        table_bytes = 16 * 61 * 31 * 21
+        # staircase top cube of sides 61, 31, 21, plus a merged crop of at
+        # most _SLAB_CELLS (60//3 + 1) cells, which is larger than the cube
+        cube_cells = 61 * 31 * 21
+        table_bytes = 8 * (cube_cells + schur._SLAB_CELLS * 21)
         monkeypatch.setattr(schur, "MAX_TABLE_BYTES", table_bytes - 8)
         tracemalloc.start()
         try:
@@ -191,7 +226,7 @@ class TestSchurLog:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < table_bytes // 16
+        assert peak < cube_cells
         monkeypatch.setattr(schur, "MAX_TABLE_BYTES", table_bytes)
         SchurTable(spectrum, 60)
 
