@@ -1,10 +1,13 @@
 """Command-line interface: distributions, rate scans, sampling, self-checks.
 
+Each command hands its columns of cell text to one record writer
+(``_records_text``, CSV or JSON) and its text to one write path (``_emit``).
 Every data-writing invocation also writes a run manifest next to its output
 (``<out>.manifest.json``) holding the resolved arguments and the SHA-256 of
 the produced bytes; re-running the recorded argv reproduces the file
-exactly. Exit codes: 0 success, 1 failed invariant, 2 bad input (an
-unwritable ``--out`` included), 3 resource cap, 4 numerical non-convergence.
+exactly, and a data file whose manifest cannot be written is removed. Exit
+codes: 0 success, 1 failed invariant, 2 bad input (an unwritable ``--out``
+included), 3 resource cap, 4 numerical non-convergence.
 """
 from __future__ import annotations
 
@@ -16,7 +19,7 @@ import json
 import math
 import sys
 from pathlib import Path
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from . import __version__
 from .errors import ConvergenceError, EmptyRegionError, ResourceLimitError
@@ -98,50 +101,33 @@ def _write_bytes(path: str, data: bytes) -> None:
         raise _UsageError(f"could not write {path}: {exc.strerror or exc}") from exc
 
 
-def _write_text(path: str | None, text: str) -> bytes:
-    data = text.encode("utf-8")
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        _write_bytes(path, data)
-    return data
+def _records_text(header: Sequence[str], columns: Iterable[Iterable[str]], fmt: str, indent: int = 0) -> str:
+    """Records from one iterable of cell text per column: CSV lines under the
+    header, or the JSON list of objects that ``_render_json`` gives at
+    ``indent``, ending in a newline."""
+    if fmt == "csv":
+        return "\n".join([",".join(header), *map(",".join, zip(*columns)), ""])
+    pad = "  " * indent
+    fields = ",\n".join(f"{pad}    {json.dumps(name)}: {{}}" for name in header)
+    # one str.format template per record; the record's own braces are doubled
+    template = pad + "  {{\n" + fields + "\n" + pad + "  }}"
+    records = ",\n".join(map(template.format, *columns))
+    return f"[\n{records}\n{pad}]\n"
 
 
-def _csv_text(header: Sequence[str], rows: Sequence[Sequence]) -> str:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_format_number(v) for v in row))
-    return "\n".join(lines) + "\n"
+def _float_cells(values, fmt: str):
+    """Float cells: 17 significant digits; JSON quotes the non-finite ones."""
+    return map("{:.17g}".format if fmt == "csv" else _render_json, values)
 
 
-def _dist_csv_text(header: Sequence[str], dist) -> str:
-    """``_csv_text`` of a law's rows Y, Y/N, P, ln P, built column by column;
-    Y_j and Y_j/N (N+1 values each) are formatted once."""
-    n = dist.boxes
-    counts = [str(v) for v in range(n + 1)]
-    estimates = [_format_number(v / n if n else 0.0) for v in range(n + 1)]
-    columns = [column.tolist() for column in dist.rows.T]
-    cells = [map(counts.__getitem__, c) for c in columns] + [map(estimates.__getitem__, c) for c in columns]
-    log_probs = dist.log_probs.tolist()
-    lines = map("{},{:.17g},{:.17g}\n".format, map(",".join, zip(*cells)), map(math.exp, log_probs), log_probs)
-    return ",".join(header) + "\n" + "".join(lines)
-
-
-def _sample_csv_text(header: Sequence[str], frames, counts, frequencies) -> str:
-    """``_csv_text`` of the rows Y, count, frequency, built column by column."""
-    cells = [map(str, column) for column in zip(*frames)]
-    lines = map("{},{},{:.17g}\n".format, map(",".join, zip(*cells)), counts, frequencies)
-    return ",".join(header) + "\n" + "".join(lines)
-
-
-def _json_records_text(header: Sequence[str], rows: Sequence[Sequence]) -> str:
-    records = [dict(zip(header, row)) for row in rows]
-    return _render_json(records) + "\n"
-
-
-def _write_manifest(command: str, args: argparse.Namespace, argv: list[str], data: bytes) -> None:
+def _emit(command: str, args: argparse.Namespace, argv: list[str], text: str) -> None:
+    """Print ``text``, or write it to ``--out`` and then its manifest. A data
+    file whose manifest cannot be written is removed."""
     if args.out is None:
+        sys.stdout.write(text)
         return
+    data = text.encode("utf-8")
+    _write_bytes(args.out, data)
     parameters = {
         k: v for k, v in sorted(vars(args).items()) if k not in {"func", "command"}
     }
@@ -157,7 +143,11 @@ def _write_manifest(command: str, args: argparse.Namespace, argv: list[str], dat
             "sha256": hashlib.sha256(data).hexdigest(),
         },
     }
-    _write_bytes(args.out + ".manifest.json", (_render_json(manifest) + "\n").encode("utf-8"))
+    try:
+        _write_bytes(args.out + ".manifest.json", (_render_json(manifest) + "\n").encode("utf-8"))
+    except _UsageError:
+        Path(args.out).unlink()
+        raise
 
 
 def replay_manifest(manifest_path: str) -> int:
@@ -220,19 +210,20 @@ def _cmd_dist(args: argparse.Namespace, argv: list[str]) -> int:
         + [f"est{j + 1}" for j in range(args.d)]
         + ["prob", "log_prob"]
     )
+    # Y_j and Y_j/N take N+1 values each, so each value is formatted once
     n = dist.boxes
-    if args.format == "csv":
-        text = _dist_csv_text(header, dist)
-    else:
-        rows = [
-            frame_rows + ([v / n for v in frame_rows] if n else [0.0] * args.d) + [math.exp(lp), lp]
-            for frame_rows, lp in zip(dist.rows.tolist(), dist.log_probs.tolist())
-        ]
-        text = _json_records_text(header, rows)
-    data = _write_text(args.out, text)
-    _write_manifest("dist", args, argv, data)
+    counts = [str(v) for v in range(n + 1)]
+    estimates = [_format_number(v / n if n else 0.0) for v in range(n + 1)]
+    frame_columns = dist.rows.T.tolist()
+    log_probs = dist.log_probs.tolist()
+    columns = (
+        [map(counts.__getitem__, c) for c in frame_columns]
+        + [map(estimates.__getitem__, c) for c in frame_columns]
+        + [_float_cells(map(math.exp, log_probs), args.format), _float_cells(log_probs, args.format)]
+    )
+    _emit("dist", args, argv, _records_text(header, columns, args.format))
     mode = distribution_mode(dist)
-    summary = f"dist: d={args.d} N={args.n} frames={len(dist.log_probs)} mode={mode}"
+    summary = f"dist: d={args.d} N={args.n} frames={len(log_probs)} mode={mode}"
     if n:
         estimate = ",".join(_format_number(v) for v in frame_to_estimate(mode))
         summary += f" mode_estimate=({estimate})"
@@ -265,20 +256,20 @@ def _cmd_rate_scan(args: argparse.Namespace, argv: list[str]) -> int:
     total = sum(parts)
     region = BallComplement(center=tuple(sorted((p / total for p in parts), reverse=True)), radius=epsilon)
     profile = _library_call("rate_scan")(args.d, spectrum, region, boxes_list)
-    target = profile.target
+    target, points = profile.target, profile.points
     header = ["N", "region_prob", "decay_rate", "target_rate"]
-    rows = []
-    for point in profile.points:
-        prob = 0.0 if point.empty else math.exp(point.log_prob)
-        rows.append([point.boxes, prob, point.decay, target.value])
-    if args.format == "csv":
-        text = _csv_text(header, rows)
-    else:
+    columns = [
+        [str(point.boxes) for point in points],
+        _float_cells([0.0 if point.empty else math.exp(point.log_prob) for point in points], args.format),
+        _float_cells([point.decay for point in points], args.format),
+        _float_cells([target.value] * len(points), args.format),
+    ]
+    if args.format == "json":
         # JSON records also carry the region member that attains a finite target
         minimizer = list(target.minimizer.values) if math.isfinite(target.value) else None
-        text = _json_records_text(header + ["target_minimizer"], [row + [minimizer] for row in rows])
-    data = _write_text(args.out, text)
-    _write_manifest("rate-scan", args, argv, data)
+        header.append("target_minimizer")
+        columns.append([_render_json(minimizer, 2)] * len(points))
+    _emit("rate-scan", args, argv, _records_text(header, columns, args.format))
     return EXIT_OK
 
 
@@ -294,20 +285,19 @@ def _cmd_sample(args: argparse.Namespace, argv: list[str]) -> int:
     empirical = _library_call("empirical_distribution")(cfg, args.samples)
     header = [f"Y{j + 1}" for j in range(args.d)] + ["count", "frequency"]
     frequencies = list(empirical.frequencies.values())
-    counts = [round(freq * args.samples) for freq in frequencies]
+    columns = [map(str, column) for column in zip(*empirical.frequencies)] + [
+        (str(round(freq * args.samples)) for freq in frequencies),
+        _float_cells(frequencies, args.format),
+    ]
     if args.format == "csv":
-        text = _sample_csv_text(header, list(empirical.frequencies), counts, frequencies)
+        text = _records_text(header, columns, "csv")
     else:
-        rows = [list(frame) + [count, freq] for frame, count, freq in zip(empirical.frequencies, counts, frequencies)]
-        text = _render_json(
-            {
-                "samples": args.samples,
-                "mean_estimate": list(empirical.mean_estimate),
-                "frequencies": [dict(zip(header, row)) for row in rows],
-            }
-        ) + "\n"
-    data = _write_text(args.out, text)
-    _write_manifest("sample", args, argv, data)
+        text = (
+            f'{{\n  "samples": {args.samples},\n'
+            f'  "mean_estimate": {_render_json(list(empirical.mean_estimate), 1)},\n'
+            f'  "frequencies": {_records_text(header, columns, "json", indent=1)}}}\n'
+        )
+    _emit("sample", args, argv, text)
     print(
         "sample: mean_estimate=("
         + ",".join(_format_number(v) for v in empirical.mean_estimate)
@@ -332,10 +322,8 @@ def _cmd_legendre(args: argparse.Namespace, argv: list[str]) -> int:
     header = (
         ["rate", "legendre_value", "difference"] + [f"eta{j + 1}" for j in range(d)]
     )
-    row = [rate_value, result.value, result.value - rate_value] + list(result.eta)
-    text = _csv_text(header, [row]) if args.format == "csv" else _json_records_text(header, [row])
-    data = _write_text(args.out, text)
-    _write_manifest("legendre", args, argv, data)
+    cells = _float_cells([rate_value, result.value, result.value - rate_value, *result.eta], args.format)
+    _emit("legendre", args, argv, _records_text(header, [[cell] for cell in cells], args.format))
     return EXIT_OK
 
 
@@ -344,8 +332,7 @@ def _cmd_verify(args: argparse.Namespace, argv: list[str]) -> int:
 
     results = _library_call("run_checks")(args.level)
     report = report_dict(args.level, results)
-    data = _write_text(args.out, _render_json(report) + "\n")
-    _write_manifest("verify", args, argv, data)
+    _emit("verify", args, argv, _render_json(report) + "\n")
     if not report["passed"]:
         failed = ", ".join(r.name for r in results if not r.passed)
         print(f"verify: FAILED invariants: {failed}", file=sys.stderr)

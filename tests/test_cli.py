@@ -9,6 +9,7 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -26,6 +27,7 @@ from spectrum_scope import (
 )
 from spectrum_scope import cli, ldp
 from spectrum_scope.cli import main, replay_manifest
+from spectrum_scope.regions import BallComplement
 
 
 def run(args):
@@ -35,6 +37,100 @@ def run(args):
 def read_csv(path):
     with open(path, newline="", encoding="utf-8") as handle:
         return list(csv.DictReader(handle))
+
+
+# reference records from library values, one row (or dict) per record
+def _law_rows(d, n, values):
+    dist = exact_distribution(d, n, Spectrum(values))
+    header = [f"Y{j + 1}" for j in range(d)] + [f"est{j + 1}" for j in range(d)] + ["prob", "log_prob"]
+    rows = [
+        r + [v / n if n else 0.0 for v in r] + [math.exp(lp), lp]
+        for r, lp in zip(dist.rows.tolist(), dist.log_probs.tolist())
+    ]
+    return header, rows
+
+
+def _count_rows(d, n, values, chains, samples=3000):
+    cfg = SamplerConfig(d=d, boxes=n, spectrum=Spectrum(values), seed=5, chains=chains)
+    empirical = empirical_distribution(cfg, samples)
+    header = [f"Y{j + 1}" for j in range(d)] + ["count", "frequency"]
+    rows = [list(frame) + [round(freq * samples), freq] for frame, freq in empirical.frequencies.items()]
+    return header, rows, empirical
+
+
+def _csv_reference(header, rows):
+    return ",".join(header) + "\n" + "".join(",".join(map(cli._format_number, row)) + "\n" for row in rows)
+
+
+def _records(header, rows):
+    return [dict(zip(header, row)) for row in rows]
+
+
+def _scan_records(values, epsilon, boxes_list):
+    region = BallComplement(center=tuple(Fraction(str(v)) for v in values), radius=Fraction(epsilon))
+    profile = ldp.rate_scan(len(values), Spectrum(values), region, boxes_list)
+    target = profile.target
+    minimizer = list(target.minimizer.values) if math.isfinite(target.value) else None
+    header = ["N", "region_prob", "decay_rate", "target_rate", "target_minimizer"]
+    rows = [
+        [p.boxes, 0.0 if p.empty else math.exp(p.log_prob), p.decay, target.value, minimizer]
+        for p in profile.points
+    ]
+    return _records(header, rows)
+
+
+def _sample_report(d, n, values, chains):
+    header, rows, empirical = _count_rows(d, n, values, chains)
+    return {"samples": 3000, "mean_estimate": list(empirical.mean_estimate), "frequencies": _records(header, rows)}
+
+
+def _legendre_records(point, spectrum):
+    rate_value = ldp.rate(point, spectrum)
+    result = ldp.legendre_of_cgf(Spectrum(point), Spectrum(spectrum))
+    header = ["rate", "legendre_value", "difference"] + [f"eta{j + 1}" for j in range(len(point))]
+    return _records(header, [[rate_value, result.value, result.value - rate_value, *result.eta]])
+
+
+_SAMPLE = ["sample", "--samples", 3000, "--seed", 5, "--spectrum"]
+
+
+@pytest.mark.parametrize(
+    "argv, reference, marker",
+    [
+        (["dist", "--d", 2, "--n", 3, "--spectrum", "0.6,0.4"], lambda: _records(*_law_rows(2, 3, (0.6, 0.4))), '"Y2": 1'),
+        (
+            ["dist", "--d", 5, "--n", 3, "--spectrum", "0.5,0.5,0,0,0"],
+            lambda: _records(*_law_rows(5, 3, (0.5, 0.5, 0.0, 0.0, 0.0))),
+            '"log_prob": "-inf"',
+        ),
+        (["dist", "--d", 3, "--n", 0, "--spectrum", "0.5,0.3,0.2"], lambda: _records(*_law_rows(3, 0, (0.5, 0.3, 0.2))), '"est3": 0'),
+        (
+            ["rate-scan", "--d", 2, "--spectrum", "0.7,0.3", "--epsilon", "0.1", "--n-list", "20,40"],
+            lambda: _scan_records((0.7, 0.3), "0.1", [20, 40]),
+            '"target_minimizer": [\n      0.',
+        ),
+        (
+            ["rate-scan", "--d", 2, "--spectrum", "0.7,0.3", "--epsilon", "5", "--n-list", "5,10"],
+            lambda: _scan_records((0.7, 0.3), "5", [5, 10]),
+            '"target_rate": "inf",\n    "target_minimizer": null',
+        ),
+        (_SAMPLE + ["0.5,0.3,0.2", "--d", 3, "--n", 40, "--chains", 2], lambda: _sample_report(3, 40, (0.5, 0.3, 0.2), 2), '"Y3"'),
+        (_SAMPLE + ["1", "--d", 1, "--n", 0, "--chains", 1], lambda: _sample_report(1, 0, (1.0,), 1), '"frequency": 1'),
+        (
+            ["legendre", "--d", 2, "--spectrum", "0.6,0.4", "--s-point", "1,0"],
+            lambda: _legendre_records((1.0, 0.0), (0.6, 0.4)),
+            '"eta2": "-inf"',
+        ),
+    ],
+    ids=["dist-d2", "dist-zero-tail", "dist-n0", "rate-scan", "rate-scan-empty", "sample-d3", "sample-d1", "legendre-boundary"],
+)
+def test_json_bytes_are_the_reference_renderer(tmp_path, argv, reference, marker):
+    # each command's JSON is the generic renderer's text of its per-row dicts
+    out = tmp_path / "out.json"
+    assert run(argv + ["--format", "json", "--out", out]) == 0
+    text = out.read_text()
+    assert text == cli._render_json(reference()) + "\n"
+    assert marker in text
 
 
 class TestDist:
@@ -79,13 +175,7 @@ class TestDist:
     def test_csv_bytes_are_the_generic_writer_of_the_law(self, tmp_path, d, n, values):
         out = tmp_path / "dist.csv"
         assert run(["dist", "--d", d, "--n", n, "--spectrum", ",".join(map(str, values)), "--out", out]) == 0
-        dist = exact_distribution(d, n, Spectrum(values))
-        header = [f"Y{j + 1}" for j in range(d)] + [f"est{j + 1}" for j in range(d)] + ["prob", "log_prob"]
-        rows = [
-            r + [v / n if n else 0.0 for v in r] + [math.exp(lp), lp]
-            for r, lp in zip(dist.rows.tolist(), dist.log_probs.tolist())
-        ]
-        assert out.read_bytes() == cli._csv_text(header, rows).encode()
+        assert out.read_bytes() == _csv_reference(*_law_rows(d, n, values)).encode()
 
     def test_rejects_bad_sum(self, tmp_path):
         # the second sums to 1 but holds a negative eigenvalue
@@ -208,11 +298,13 @@ def test_output_in_a_missing_directory_is_bad_input(tmp_path, capsys, monkeypatc
 
 @pytest.mark.parametrize("blocked", ["out.csv", "out.csv.manifest.json"], ids=["data", "manifest"])
 def test_unwritable_output_is_bad_input(tmp_path, capsys, blocked):
-    # a directory where the data or the manifest goes makes the write fail
+    # a directory where the data or the manifest goes makes the write fail,
+    # and no data file is left without its manifest
     (tmp_path / blocked).mkdir()
     assert run(["dist", "--d", 2, "--n", 3, "--spectrum", "0.5,0.5", "--out", tmp_path / "out.csv"]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: could not write {tmp_path / blocked}: ") and err.count("\n") == 1, err
+    assert [path.name for path in tmp_path.iterdir()] == [blocked]
 
 
 def _exit_code(argv):
@@ -242,10 +334,10 @@ def _valid_spectrum(d):
 def _fuzzed_argv(draw):
     """A valid small invocation with at most one argument replaced by hostile text."""
     command = draw(st.sampled_from(["dist", "rate-scan", "sample", "legendre"]))
-    # the rate infimum seeds a 200-step grid, about a second per call at d4
-    d = draw(st.integers(1, 3 if command == "rate-scan" else 4))
+    # every command reaches d = 4: a ball complement's rate infimum runs no grid
+    d = draw(st.integers(1, 4))
     spectra = [",".join([bad] * d) for bad in _HOSTILE] + ["1e308," * d + "1e308", "0.5,0.5,"]
-    options = {"d": str(d), "spectrum": draw(_valid_spectrum(d))}
+    options = {"d": str(d), "spectrum": draw(_valid_spectrum(d)), "format": draw(st.sampled_from(["csv", "json"]))}
     hostile = {"d": ["0", "-2", _HUGE, "", "2.5", "nan"], "spectrum": spectra}
     if command in ("dist", "sample"):
         options["n"] = str(draw(st.integers(0, 30)))
@@ -464,11 +556,8 @@ class TestSample:
         out = tmp_path / "sample.csv"
         argv = ["sample", "--d", d, "--n", n, "--spectrum", ",".join(map(str, values)), "--samples", 3000]
         assert run(argv + ["--seed", 5, "--chains", chains, "--out", out]) == 0
-        cfg = SamplerConfig(d=d, boxes=n, spectrum=Spectrum(values), seed=5, chains=chains)
-        frequencies = empirical_distribution(cfg, 3000).frequencies
-        header = [f"Y{j + 1}" for j in range(d)] + ["count", "frequency"]
-        rows = [list(frame) + [round(freq * 3000), freq] for frame, freq in frequencies.items()]
-        assert out.read_bytes() == cli._csv_text(header, rows).encode()
+        header, rows, _ = _count_rows(d, n, values, chains)
+        assert out.read_bytes() == _csv_reference(header, rows).encode()
 
     def test_single_level_needs_no_spectrum(self, tmp_path):
         out = tmp_path / "sample.csv"
