@@ -7,26 +7,19 @@ finite-N empirical counterparts, and infima over error regions.
 """
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .errors import ConvergenceError, EmptyRegionError, ResourceLimitError
-from .frames import Spectrum, frame_count, frame_rows, log_frobenius_dims
+from .errors import ConvergenceError, EmptyRegionError
+from .frames import Spectrum, log_frobenius_dims
 from .logspace import NEG_INF, log_each, log_sum_exp, weighted_dots
 from .measure import check_enumeration_cap, exact_distribution
 from .regions import BallComplement, FrameSet, HalfSpace, Region, region_log_probability
 from .schur import SchurTable
 
-_GRID_RESOLUTION = 200
-# predicate regions are seeded from the k/200 lattice: d = 5 has 643,287
-# points, d = 6 has 4,775,383, each one predicate call
-MAX_LATTICE_POINTS = 10**6
-# lattice rows turned into points at a time
-_LATTICE_CHUNK = 2**13
 # the Legendre ascent stops once max |s_j - w_j| is at most this
 _LEGENDRE_TOLERANCE = 1e-10
 # ascent steps before ConvergenceError; at most 26 were needed over 2,000
@@ -276,29 +269,6 @@ def _piece_minimizer(region: Region, reference: Spectrum, normal: np.ndarray, of
     return None
 
 
-def _lattice(d: int) -> Iterator[tuple[float, ...]]:
-    """Points k/200 of the closed ordered simplex, lexicographically decreasing."""
-    rows = frame_rows(d, _GRID_RESOLUTION)
-    for start in range(0, len(rows), _LATTICE_CHUNK):
-        yield from map(tuple, (rows[start : start + _LATTICE_CHUNK] / _GRID_RESOLUTION).tolist())
-
-
-def _toward_reference(region: Region, reference: Spectrum, seed: tuple[float, ...]) -> Spectrum:
-    """A region member on the segment from r to the member ``seed``, bisected toward r.
-
-    The rate is convex and zero at r, so it grows along the segment.
-    """
-    lo, hi, best = 0.0, 1.0, seed
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        point = tuple((1.0 - mid) * a + mid * b for a, b in zip(reference, seed))
-        if region.contains_point(point):
-            hi, best = mid, point
-        else:
-            lo = mid
-    return Spectrum(best)
-
-
 def inf_rate_over_region(region: Region, reference: Spectrum) -> RegionInfimum:
     """Minimize the rate over a region; the minimizer is always a region member.
 
@@ -310,11 +280,9 @@ def inf_rate_over_region(region: Region, reference: Spectrum) -> RegionInfimum:
     (1/k, ..., 1/k, 0, ..., 0), so the region is empty exactly when it
     holds none of them; the vertices it holds are candidates too, which
     keeps a region whose every point has infinite rate from being reported
-    empty. Frame lists are searched directly. Any other region is seeded
-    from the lattice of spacing 1/200 and each of the 8 best seeds is
-    bisected toward r; a lattice of more than ``MAX_LATTICE_POINTS`` points
-    raises ResourceLimitError before the region is called. Raises
-    EmptyRegionError when no member is found.
+    empty. Frame lists are searched directly. Any other region has
+    infimum 0, at r, when it holds r, and raises ValueError otherwise.
+    Raises EmptyRegionError when no member is found.
     """
     d = reference.d
 
@@ -332,28 +300,19 @@ def inf_rate_over_region(region: Region, reference: Spectrum) -> RegionInfimum:
             raise EmptyRegionError("frame list region contains no usable frame")
         return best
 
-    if isinstance(region, (BallComplement, HalfSpace)):
-        vertices = [(1.0 / k,) * k + (0.0,) * (d - k) for k in range(1, d + 1)]
-        candidates = [Spectrum(v) for v in vertices if region.contains_point(v)]
-        for piece in _half_space_pieces(region, d):
-            member = _piece_minimizer(region, reference, *piece)
-            if member is not None:
-                candidates.append(member)
-    else:
-        points = frame_count(d, _GRID_RESOLUTION)
-        if points > MAX_LATTICE_POINTS:
-            raise ResourceLimitError(
-                f"predicate regions are seeded from a lattice capped at {MAX_LATTICE_POINTS} "
-                f"points; d={d} has {points}"
-            )
+    if not isinstance(region, (BallComplement, HalfSpace)):
         if region.contains_point(reference.values):
-            candidates = [reference]
-        else:
-            # nsmallest keeps lattice order among equal rates, as a stable sort would
-            seeds = heapq.nsmallest(
-                8, filter(region.contains_point, _lattice(d)), key=lambda point: rate(point, reference)
-            )
-            candidates = [_toward_reference(region, reference, seed) for seed in seeds]
+            return RegionInfimum(value=0.0, minimizer=reference)
+        raise ValueError(
+            f"no rate infimum for a {type(region).__name__} that does not hold the reference; "
+            "HalfSpace, BallComplement and FrameSet regions are solved exactly"
+        )
+    vertices = [(1.0 / k,) * k + (0.0,) * (d - k) for k in range(1, d + 1)]
+    candidates = [Spectrum(v) for v in vertices if region.contains_point(v)]
+    for piece in _half_space_pieces(region, d):
+        member = _piece_minimizer(region, reference, *piece)
+        if member is not None:
+            candidates.append(member)
 
     if not candidates:
         raise EmptyRegionError("region contains no point of the ordered simplex")
@@ -389,11 +348,11 @@ def rate_scan(d: int, spectrum: Spectrum, region: Region, boxes_list: Sequence[i
         raise ValueError("box counts must be positive")
     for n in boxes_list:
         check_enumeration_cap(d, n)
-    table = SchurTable(spectrum, max(boxes_list))
     try:
         target = inf_rate_over_region(region, spectrum)
     except EmptyRegionError:
         target = RegionInfimum(value=math.inf, minimizer=None)
+    table = SchurTable(spectrum, max(boxes_list))
     points = []
     for n in boxes_list:
         dist = exact_distribution(d, n, spectrum, table=table)

@@ -144,7 +144,8 @@ class FrameSet(Region):
 
 
 class PredicateRegion(Region):
-    """Arbitrary membership callable; carries no boundary guarantee."""
+    """Arbitrary membership callable; carries no boundary guarantee. Its rate
+    infimum is 0 when it holds r; otherwise ``inf_rate_over_region`` raises ValueError."""
 
     def __init__(self, predicate: Callable[[Sequence[float]], bool]):
         self._predicate = predicate

@@ -16,6 +16,7 @@ import numpy as np
 
 from . import ldp
 from .characters import brute_force_frame_probability, character_bounds_check
+from .errors import ConvergenceError
 from .frames import Spectrum, enumerate_frames
 from .measure import exact_distribution
 from .rsk import SamplerConfig, empirical_distribution
@@ -111,7 +112,7 @@ def _check_duality(level: str) -> CheckResult:
         r = _random_spectrum(rng, d)
         try:
             result = ldp.legendre_of_cgf(s, r)
-        except Exception:
+        except ConvergenceError:
             converged = False
             break
         worst = max(worst, abs(result.value - ldp.rate(s, r)))

@@ -13,7 +13,6 @@ from spectrum_scope import (
     FrameSet,
     HalfSpace,
     PredicateRegion,
-    ResourceLimitError,
     Spectrum,
     YoungFrame,
     cgf,
@@ -329,15 +328,26 @@ class TestInfRateOverRegion:
             )
 
     def test_predicate_region(self):
+        # no exact solver covers a predicate that leaves out r
         r = Spectrum((0.6, 0.4))
         region = PredicateRegion(lambda s: s[0] >= 0.75)
-        result = inf_rate_over_region(region, r)
-        assert result.value == pytest.approx(binary_rate(0.75, 0.6), abs=1e-4)
+        with pytest.raises(ValueError, match="PredicateRegion") as raised:
+            inf_rate_over_region(region, r)
+        assert not isinstance(raised.value, EmptyRegionError)
+        # the same region written as a half-space is solved exactly
+        result = inf_rate_over_region(HalfSpace((1.0, 0.0), 0.75), r)
+        assert result.value == pytest.approx(binary_rate(0.75, 0.6), abs=1e-12)
 
     def test_half_space_four_levels_closed_form(self):
         # I-projection: s1 = 0.8, the other three proportional to r
         result = inf_rate_over_region(HalfSpace((1.0, 0.0, 0.0, 0.0), 0.8), Spectrum((0.4, 0.3, 0.2, 0.1)))
         assert result.value == pytest.approx(0.8 * math.log(2) + 0.2 * math.log(1 / 3), abs=1e-9)
+
+    def test_half_space_five_levels_closed_form(self):
+        # I-projection: s1 = 0.5, the other four proportional to r
+        r = Spectrum((0.3, 0.25, 0.2, 0.15, 0.1))
+        result = inf_rate_over_region(HalfSpace((1.0, 0.0, 0.0, 0.0, 0.0), 0.5), r)
+        assert result.value == pytest.approx(0.5 * math.log(5 / 3) + 0.5 * math.log(5 / 7), abs=1e-12)
 
     def test_ball_complement_five_levels_closed_form(self, monkeypatch):
         r = Spectrum((0.3, 0.25, 0.2, 0.15, 0.1))
@@ -425,23 +435,85 @@ class TestInfRateOverRegion:
         assert region.contains_point(result.minimizer.values)
 
     def test_predicate_holding_the_reference_is_zero(self):
-        r = Spectrum((0.4, 0.3, 0.2, 0.1))
-        result = inf_rate_over_region(PredicateRegion(lambda s: True), r)
-        assert result.value == 0.0
-        assert result.minimizer == r
+        # one call, at r, at any d
+        for values in ((0.4, 0.3, 0.2, 0.1), (0.25, 0.2, 0.2, 0.15, 0.1, 0.1)):
+            r = Spectrum(values)
+            calls = []
+            result = inf_rate_over_region(PredicateRegion(lambda s: calls.append(s) or True), r)
+            assert result.value == 0.0
+            assert result.minimizer == r
+            assert len(calls) == 1
 
-    def test_predicate_lattice_cap_is_checked_before_any_call(self):
-        calls = []
-        region = PredicateRegion(lambda s: calls.append(s) or True)
-        with pytest.raises(ResourceLimitError, match="4775383"):
-            inf_rate_over_region(region, Spectrum((0.25, 0.2, 0.2, 0.15, 0.1, 0.1)))
-        assert calls == []
+    def test_never_below_the_lagrange_dual(self):
+        # for a piece a . s >= b and any t >= 0, t b - ln sum exp(m(t)) bounds the piece's
+        # infimum from below, m(t) the non-increasing fit of ln r + t a on the support of r
+        rng = np.random.default_rng(83)
+        checked = 0
+        for case in range(50):
+            d = 2 + case % 5
+            if case % 3 == 0:
+                r = Spectrum(random_spectrum(rng, d - 1).values + (0.0,))
+            else:
+                r = random_spectrum(rng, d)
+            if case % 2:
+                region = BallComplement(center=r.values, radius=float(rng.choice([0.02, 0.05, 0.1, 0.25])))
+            else:
+                # an offset past a . r leaves r outside
+                normal = rng.normal(size=d).round(2)
+                region = HalfSpace(tuple(normal.tolist()), round(float(normal @ r.values + rng.uniform(0.01, 0.2)), 2))
+            try:
+                value = inf_rate_over_region(region, r).value
+            except EmptyRegionError:
+                continue
+            if value == math.inf:
+                continue
+            lower = min(_dual_bound(r, a, b) for a, b in _pieces(region, d))
+            # both sides round their logarithms, so the primal may read a few ulps below the bound
+            gap = value - lower
+            assert -1e-15 * max(1.0, value) <= gap <= 1e-12 * max(1.0, value), (r, region, value, lower)
+            checked += 1
+        assert checked >= 40
 
-    def test_predicate_lattice_at_five_levels(self):
-        # 643,287 lattice points, walked in blocks; the parent's value, bit for bit
-        r = Spectrum((0.3, 0.25, 0.2, 0.15, 0.1))
-        result = inf_rate_over_region(PredicateRegion(lambda s: s[0] >= 0.5), r)
-        assert result.value == 0.08723433914026872
+
+def _pieces(region, d):
+    """Half-spaces a . s >= b whose union is the region."""
+    if isinstance(region, HalfSpace):
+        return [(np.array(region.normal), region.offset)]
+    axes = np.eye(d)
+    return [(axes[j], c + region.radius) for j, c in enumerate(region.center)] + [
+        (-axes[j], region.radius - c) for j, c in enumerate(region.center)
+    ]
+
+
+def _non_increasing_fit(values):
+    """Least-squares non-increasing fit: merge adjacent blocks while a block's mean rises."""
+    blocks = []  # [mean, size]
+    for v in values:
+        blocks.append([v, 1])
+        while len(blocks) > 1 and blocks[-2][0] < blocks[-1][0]:
+            (m1, n1), (m2, n2) = blocks.pop(-2), blocks.pop()
+            blocks.append([(m1 * n1 + m2 * n2) / (n1 + n2), n1 + n2])
+    return np.concatenate([np.full(n, m) for m, n in blocks])
+
+
+def _dual_bound(r, a, b, steps=100):
+    """max over t >= 0 of g(t) = t b - ln sum exp(m(t)), by ternary search on the concave g."""
+    k = r.support_size()
+    log_r, a = np.log(r.values[:k]), a[:k]
+
+    def g(t):
+        m = _non_increasing_fit(log_r + t * a)
+        top = m.max()
+        return t * b - top - math.log(math.fsum(np.exp(m - top).tolist()))
+
+    hi = 1.0
+    while hi < 2.0**60 and g(hi) > g(hi / 2):
+        hi *= 2.0
+    lo = 0.0
+    for _ in range(steps):
+        left, right = lo + (hi - lo) / 3, hi - (hi - lo) / 3
+        lo, hi = (lo, right) if g(left) >= g(right) else (left, hi)
+    return max(g(lo), g(hi))
 
 
 def binary_entropy(p: float) -> float:
@@ -456,6 +528,15 @@ class TestRateScan:
         for point in profile.points:
             assert point.decay == pytest.approx(0.0, abs=1e-10)
             assert not point.empty
+
+    def test_unsolved_region_fails_before_the_table_is_built(self, monkeypatch):
+        def no_table(*args, **kwargs):
+            raise AssertionError("Schur table built before the target")
+
+        monkeypatch.setattr(ldp, "SchurTable", no_table)
+        with pytest.raises(ValueError) as raised:
+            rate_scan(2, Spectrum((0.6, 0.4)), PredicateRegion(lambda s: s[0] >= 0.75), [5, 10])
+        assert not isinstance(raised.value, EmptyRegionError)
 
     def test_single_level_flags_infinite(self):
         r = Spectrum((1.0,))

@@ -1,6 +1,6 @@
 import pytest
 
-from spectrum_scope import ldp
+from spectrum_scope import ConvergenceError, ldp
 from spectrum_scope.verify import QUICK, report_dict, run_checks
 
 
@@ -32,6 +32,25 @@ def test_tampered_rate_function_fails_duality(monkeypatch):
     assert report["passed"] is False
     failed = [c["name"] for c in report["checks"] if not c["passed"]]
     assert failed == ["duality"]
+
+
+def test_unconverged_ascent_fails_duality(monkeypatch):
+    def unconverged(s, r):
+        raise ConvergenceError("budget spent", last_iterate=(0.0, 0.0))
+
+    monkeypatch.setattr(ldp, "legendre_of_cgf", unconverged)
+    by_name = {r.name: r for r in run_checks(QUICK)}
+    assert not by_name["duality"].passed
+    assert by_name["duality"].detail == "tilt ascent failed to converge"
+
+
+def test_other_ascent_errors_propagate(monkeypatch):
+    def broken(s, r):
+        raise RuntimeError("not a convergence failure")
+
+    monkeypatch.setattr(ldp, "legendre_of_cgf", broken)
+    with pytest.raises(RuntimeError, match="not a convergence failure"):
+        run_checks(QUICK)
 
 
 def test_unknown_level_rejected():
