@@ -8,6 +8,7 @@ capped at tiny sizes; of the commands, only ``verify`` runs them.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -50,26 +51,7 @@ def weight_multiplicities(frame: YoungFrame) -> WeightTable:
             f"weight table enumeration is capped at d <= {KOSTKA_MAX_ROWS}, "
             f"N <= {KOSTKA_MAX_BOXES}; got d={d}, N={frame.boxes}"
         )
-    shape = frame.rows
-    counts: Counter[tuple[int, ...]] = Counter()
-    for content in _ssyt_contents(shape, d):
-        counts[content] += 1
-    return WeightTable(shape=shape, entries=dict(counts))
-
-
-def _interlacing_shapes(shape: tuple[int, ...]):
-    """All shapes one row shorter that interlace ``shape`` (horizontal strips)."""
-    bounds = [(shape[i + 1], shape[i]) for i in range(len(shape) - 1)]
-
-    def rec(index: int, prefix: tuple[int, ...]):
-        if index == len(bounds):
-            yield prefix
-            return
-        low, high = bounds[index]
-        for part in range(high, low - 1, -1):
-            yield from rec(index + 1, prefix + (part,))
-
-    yield from rec(0, ())
+    return WeightTable(shape=frame.rows, entries=dict(Counter(_ssyt_contents(frame.rows, d))))
 
 
 def _ssyt_contents(shape: tuple[int, ...], level: int):
@@ -78,7 +60,8 @@ def _ssyt_contents(shape: tuple[int, ...], level: int):
         yield (shape[0],)
         return
     size = sum(shape)
-    for inner in _interlacing_shapes(shape):
+    # the shapes one row shorter that interlace ``shape``: Y_(a+1) <= mu_a <= Y_a
+    for inner in itertools.product(*(range(high, low - 1, -1) for high, low in zip(shape, shape[1:]))):
         strip = size - sum(inner)
         for content in _ssyt_contents(inner, level - 1):
             yield content + (strip,)

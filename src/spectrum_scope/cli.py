@@ -279,31 +279,25 @@ def _cmd_sample(args: argparse.Namespace, argv: list[str]) -> int:
     spectrum = _parse_spectrum(_spectrum_text(args), args.d, args.allow_unsorted)
     if args.samples < 1:
         raise _UsageError(f"--samples must be positive, got {args.samples}")
-    cfg = SamplerConfig(
-        d=args.d, boxes=args.n, spectrum=spectrum, seed=args.seed, chains=args.chains
-    )
+    cfg = SamplerConfig(d=args.d, boxes=args.n, spectrum=spectrum, seed=args.seed, chains=args.chains)
     empirical = _library_call("empirical_distribution")(cfg, args.samples)
+    mean = list(empirical.mean_estimate)
     header = [f"Y{j + 1}" for j in range(args.d)] + ["count", "frequency"]
-    frequencies = list(empirical.frequencies.values())
-    columns = [map(str, column) for column in zip(*empirical.frequencies)] + [
-        (str(round(freq * args.samples)) for freq in frequencies),
-        _float_cells(frequencies, args.format),
+    columns = [map(str, column) for column in empirical.rows.T.tolist()] + [
+        map(str, empirical.counts.tolist()),
+        _float_cells((empirical.counts / args.samples).tolist(), args.format),
     ]
     if args.format == "csv":
         text = _records_text(header, columns, "csv")
     else:
         text = (
             f'{{\n  "samples": {args.samples},\n'
-            f'  "mean_estimate": {_render_json(list(empirical.mean_estimate), 1)},\n'
+            f'  "mean_estimate": {_render_json(mean, 1)},\n'
             f'  "frequencies": {_records_text(header, columns, "json", indent=1)}}}\n'
         )
     _emit("sample", args, argv, text)
-    print(
-        "sample: mean_estimate=("
-        + ",".join(_format_number(v) for v in empirical.mean_estimate)
-        + f") over {args.samples} draws",
-        file=sys.stderr,
-    )
+    mean_text = ",".join(map(_format_number, mean))
+    print(f"sample: mean_estimate=({mean_text}) over {args.samples} draws", file=sys.stderr)
     return EXIT_OK
 
 

@@ -19,9 +19,12 @@ fills the chain's raw 64-bit words one or two blocks ahead of the kernel;
 numpy fills them without holding the GIL, so on a second core the draws
 overlap the shape updates. The kernel reads the letter-count path off the
 words by integer threshold compares, bit for bit the letters of
-``Generator.random`` on the same stream. Chains run in sequence, so the
-1 GiB chain cap ``MAX_CHAIN_BYTES`` bounds the sampler's peak. More chains
-split the stream and bound memory; they do not add parallelism.
+``Generator.random`` on the same stream. Each chain tallies its shapes into
+shape and count columns, and the same tally merges them into the law of the
+chains before. Chains run in sequence and each one's check counts the law
+held from earlier ones, so the 1 GiB chain cap ``MAX_CHAIN_BYTES`` bounds
+the sampler's peak; the tuples of ``sample_frame_counts`` come on top. More
+chains split the stream and bound memory; they do not add parallelism.
 """
 from __future__ import annotations
 
@@ -31,8 +34,8 @@ import queue
 import threading
 from collections import Counter
 from contextlib import contextmanager
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -202,8 +205,22 @@ def _words_ahead(
         helper.join()
 
 
-def _sample_shapes(cfg: SamplerConfig, chain: int, count: int) -> Counter:
-    """Shape counts for one chain; vectorized across its samples."""
+def _tally(rows: np.ndarray, weights: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct ``rows`` in lexicographically decreasing order, and the
+    int64 number of times each occurs or the sum of its ``weights``: sort, then
+    cut where a row changes. np.lexsort buffers an int64 index for strided keys
+    and none for contiguous ones."""
+    order = np.lexsort(np.ascontiguousarray(rows.T[::-1]))[::-1]
+    ordered = rows[order]
+    cuts = np.flatnonzero(np.r_[True, (ordered[1:] != ordered[:-1]).any(axis=1), True])
+    counts = np.diff(cuts) if weights is None else np.add.reduceat(weights[order], cuts[:-1])
+    return ordered[cuts[:-1]], counts
+
+
+def _sample_shapes(cfg: SamplerConfig, chain: int, count: int, merged: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """One chain's distinct shapes, in its path type, and their counts, as
+    ``_tally`` gives them; vectorized across its samples. The check of the
+    chain's bytes counts the ``merged`` shapes held from earlier chains."""
     d = cfg.d
     if cfg.boxes > _MAX_BOXES:
         raise ResourceLimitError(
@@ -213,50 +230,54 @@ def _sample_shapes(cfg: SamplerConfig, chain: int, count: int) -> Counter:
     # the smallest signed type that holds -N - 1 holds [-N, N]
     path_type = np.min_scalar_type(-cfg.boxes - 1)
     state = path_type.itemsize
-    # per sample: the carried endpoints and pair peaks, and, to count the
-    # shapes, at most three copies of them (drawn, sorted, distinct) and two
-    # int64 indices (the sort's, then the cuts and counts); per distinct shape
-    # (at most one per sample and one per weak composition of N into d
-    # parts): its count under a Python tuple key, measured at most 140 + 48d
-    # bytes; per block cell: the word in 8 bytes, three blocks at once
-    # (filling, queued, read), and d paths and two pair rows; and numpy's
-    # cast buffers, getbufsize() elements of at most 8 bytes
-    per_sample = state * (d + d * (d - 1) // 2) + 3 * state * d + 16
-    # the number of weak compositions is formed exactly only when it is small
-    log_compositions = math.lgamma(cfg.boxes + d) - math.lgamma(d) - math.lgamma(cfg.boxes + 1)
-    distinct = count
-    if log_compositions < math.log(count) + 1:
-        distinct = min(count, math.comb(cfg.boxes + d - 1, d - 1))
+    # per sample: the carried endpoints and pair peaks, and, to tally the
+    # shapes, at most three copies of them (drawn, sorted, distinct) and three
+    # int64 indices (the sort's, the cuts, the counts); per block cell: the
+    # word in 8 bytes, three blocks at once (filling, queued, read), and d
+    # paths and two pair rows; per shape of the law (the merged ones and at
+    # most one per sample): a row of path state and an int64 count, four
+    # copies of them and two int64 indices while the chains merge, and the
+    # law's int64 row and count; and numpy's cast buffers, getbufsize()
+    # elements of at most 8 bytes
+    per_sample = state * (d + d * (d - 1) // 2) + 3 * state * d + 24
     per_cell = 3 * 8 + state * (d + 2)
-    needed = count * (per_sample + per_cell * steps) + distinct * (140 + 48 * d) + 8 * np.getbufsize()
+    per_shape = 4 * (state * d + 8) + 16 + 8 * (d + 1)
+    needed = count * (per_sample + per_cell * steps) + (merged + count) * per_shape + 8 * np.getbufsize()
     if needed > MAX_CHAIN_BYTES:
         raise ResourceLimitError(
-            f"one chain of {count} samples at d={d} needs {needed} bytes of "
-            f"path state, word blocks and shape counts, over the cap of {MAX_CHAIN_BYTES}"
+            f"one chain of {count} samples at d={d} needs {needed} bytes of path state, "
+            f"word blocks and the shape law, over the cap of {MAX_CHAIN_BYTES}"
         )
     with _words_ahead(_chain_rng(cfg.seed, chain).bit_generator, cfg.boxes, steps, count) as word_blocks:
         shapes = _word_shapes(word_blocks, _word_thresholds(cfg.spectrum.values), d, count, path_type)
-    # distinct shapes in lexicographic order: sort the rows, then cut where a row changes;
-    # np.lexsort buffers an int64 index for strided keys, and none for contiguous ones
-    ordered = shapes[np.lexsort(np.ascontiguousarray(shapes.T[::-1]))]
-    cuts = np.flatnonzero(np.r_[True, (ordered[1:] != ordered[:-1]).any(axis=1), True])
-    return Counter(dict(zip(map(tuple, ordered[cuts[:-1]].tolist()), np.diff(cuts).tolist())))
+    return _tally(shapes)
 
 
-def sample_frame_counts(cfg: SamplerConfig, samples: int) -> Counter:
-    """Outcome counts over many samples, split across the configured chains.
-
-    Chains are independent streams run one after another and merged by
-    commutative addition, so the result depends only on the seed and the
-    chain sizes.
-    """
+def _shape_law(cfg: SamplerConfig, samples: int) -> tuple[np.ndarray, np.ndarray]:
+    """The sampled law as ``_tally`` columns. Chains are independent streams
+    run one after another, each tallied into the law of the ones before, so
+    the law depends only on the seed and the chain sizes."""
     if samples < 1:
         raise ValueError("need at least one sample")
     base, extra = divmod(samples, cfg.chains)
-    merged: Counter = Counter()
+    # int8 rows take the chains' path type at the first merge
+    rows, counts = np.empty((0, cfg.d), dtype=np.int8), np.empty(0, dtype=np.int64)
     for chain in range(min(samples, cfg.chains)):
-        merged.update(_sample_shapes(cfg, chain, base + (chain < extra)))
-    return merged
+        chain_rows, chain_counts = _sample_shapes(cfg, chain, base + (chain < extra), len(counts))
+        rows, counts = _tally(np.concatenate([rows, chain_rows]), np.concatenate([counts, chain_counts]))
+    return rows, counts
+
+
+def sample_frame_counts(cfg: SamplerConfig, samples: int) -> Counter:
+    """Outcome counts over many samples, split across the configured chains,
+    keyed by shape tuples made from the law's columns a block at a time."""
+    rows, counts = _shape_law(cfg, samples)
+    law: Counter = Counter()
+    step = max(1, _BLOCK_CELLS // cfg.d)
+    for start in range(0, len(counts), step):
+        block = slice(start, start + step)
+        law.update(dict(zip(map(tuple, rows[block].tolist()), counts[block].tolist())))
+    return law
 
 
 @dataclass(frozen=True)
@@ -270,12 +291,34 @@ class FitReport:
     cells: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EmpiricalDistribution:
+    """Sampled law as two columns: ``rows``, int64 (F, d), one distinct shape
+    per row in the canonical (lexicographically decreasing) order of
+    ``SchurWeylDistribution``, and ``counts``, int64 (F,), the draws of each.
+    Both are copied on construction and read-only; ``frequencies`` and
+    ``mean_estimate`` are formed from them on demand."""
+
     samples: int
-    frequencies: Mapping[tuple[int, ...], float]
-    mean_estimate: tuple[float, ...]
-    fit: FitReport | None = field(default=None)
+    rows: np.ndarray
+    counts: np.ndarray
+    fit: FitReport | None = None
+
+    def __post_init__(self):
+        for name in ("rows", "counts"):
+            column = np.array(getattr(self, name), dtype=np.int64)
+            column.flags.writeable = False
+            object.__setattr__(self, name, column)
+
+    @property
+    def frequencies(self) -> dict[tuple[int, ...], float]:
+        return dict(zip(map(tuple, self.rows.tolist()), (self.counts / self.samples).tolist()))
+
+    @property
+    def mean_estimate(self) -> tuple[float, ...]:
+        # exact integer totals of the row lengths, at most samples x N, each divided once
+        scale = self.samples * (int(self.rows[0].sum()) or 1)
+        return tuple(total / scale for total in (self.counts @ self.rows).tolist())
 
 
 def empirical_distribution(
@@ -283,27 +326,11 @@ def empirical_distribution(
     samples: int,
     exact: SchurWeylDistribution | None = None,
 ) -> EmpiricalDistribution:
-    """Sampled outcome frequencies, with a goodness-of-fit report when an
-    exact distribution is supplied."""
-    counts = sample_frame_counts(cfg, samples)
-    frequencies = {
-        rows: counts.get(rows, 0) / samples for rows in sorted(counts, reverse=True)
-    }
-    mean = [0.0] * cfg.d
-    for rows, c in counts.items():
-        for j, value in enumerate(rows):
-            mean[j] += c * value
-    scale = samples * cfg.boxes if cfg.boxes else samples
-    mean_estimate = tuple(m / scale for m in mean)
-    fit = None
-    if exact is not None:
-        fit = _fit_report(counts, samples, exact)
-    return EmpiricalDistribution(
-        samples=samples,
-        frequencies=frequencies,
-        mean_estimate=mean_estimate,
-        fit=fit,
-    )
+    """Sampled outcome counts, with a goodness-of-fit report when an exact
+    distribution is supplied."""
+    rows, counts = _shape_law(cfg, samples)
+    fit = None if exact is None else _fit_report(rows, counts, exact)
+    return EmpiricalDistribution(samples=samples, rows=rows, counts=counts, fit=fit)
 
 
 def _chi2_sf(x: float, k: int) -> float:
@@ -321,10 +348,12 @@ def _chi2_sf(x: float, k: int) -> float:
     return (math.erfc(math.sqrt(h)) if k % 2 else 0.0) + math.exp(log_sum_exp(terms))
 
 
-def _fit_report(counts: Counter, samples: int, exact: SchurWeylDistribution) -> FitReport:
+def _fit_report(rows: np.ndarray, counts: np.ndarray, exact: SchurWeylDistribution) -> FitReport:
+    samples = int(counts.sum())
     log_probs = exact.log_probs.tolist()
     probs = np.array(list(map(math.exp, log_probs)))
-    observed = np.array([counts.get(rows, 0) for rows in map(tuple, exact.rows.tolist())])
+    sampled = dict(zip(map(tuple, rows.tolist()), counts.tolist()))
+    observed = np.array([sampled.get(frame, 0) for frame in map(tuple, exact.rows.tolist())])
     # sampled shapes outside the exact support count fully toward TV
     outside = samples - int(observed.sum())
     tv = 0.5 * (float(np.abs(observed / samples - probs).sum()) + outside / samples)
@@ -340,11 +369,4 @@ def _fit_report(counts: Counter, samples: int, exact: SchurWeylDistribution) -> 
         chi += (tail_observed - tail_expected) ** 2 / tail_expected
         cells += 1
     dof = max(cells - 1, 1)
-    p_value = _chi2_sf(chi, dof)
-    return FitReport(
-        tv_distance=tv,
-        chi_square=chi,
-        degrees_of_freedom=dof,
-        p_value=p_value,
-        cells=cells,
-    )
+    return FitReport(tv_distance=tv, chi_square=chi, degrees_of_freedom=dof, p_value=_chi2_sf(chi, dof), cells=cells)

@@ -564,6 +564,16 @@ class TestSample:
         assert run(["sample", "--d", 1, "--n", 3, "--samples", 2, "--out", out]) == 0
         assert out.read_text() == "Y1,count,frequency\n3,2,1\n"
 
+    def test_json_bytes_pinned(self, tmp_path):
+        # 1,348 distinct shapes over 3 chains; the bytes, mean and counts
+        # included, are those of earlier versions
+        out = tmp_path / "sample.json"
+        argv = ["sample", "--d", 3, "--n", 1000, "--spectrum", "0.5,0.3,0.2", "--samples", 2000]
+        assert run(argv + ["--seed", 1, "--chains", 3, "--format", "json", "--out", out]) == 0
+        assert len(json.loads(out.read_text())["frequencies"]) == 1348
+        digest = "42afb6f6688a0c8ab6d1eb15b1f1c96d348a8977a2da4a41b5be0c2ea772262f"
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
     def test_rejects_zero_samples(self, tmp_path):
         assert run(["sample", "--d", 2, "--n", 3, "--spectrum", "0.5,0.5", "--samples", 0, "--out", tmp_path / "x.csv"]) == 2
 

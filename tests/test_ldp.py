@@ -321,6 +321,12 @@ class TestInfRateOverRegion:
         result = inf_rate_over_region(region, r)
         assert result.value == pytest.approx(min(rate((0.75, 0.25), r), rate((0.5, 0.5), r)), abs=1e-12)
 
+    def test_frame_set_of_empty_frames_is_empty(self):
+        # an empty frame has no estimate, so a list of them holds no point
+        region = FrameSet.of([YoungFrame((0, 0))])
+        with pytest.raises(EmptyRegionError):
+            inf_rate_over_region(region, Spectrum((0.6, 0.4)))
+
     def test_empty_region(self):
         with pytest.raises(EmptyRegionError):
             inf_rate_over_region(

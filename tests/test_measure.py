@@ -113,6 +113,14 @@ class TestExactDistribution:
         with pytest.raises(ValueError):
             dist.log_probs[0] = 0.0
 
+    def test_log_prob_of_a_frame_outside_the_law(self):
+        dist = exact_distribution(2, 3, Spectrum((0.6, 0.4)))
+        assert dist.log_prob(YoungFrame((2, 1))) == pytest.approx(math.log(dist.prob(YoungFrame((2, 1)))))
+        # a frame of another box count, and one with more rows than the law
+        for frame in (YoungFrame((2, 2)), YoungFrame((2, 1, 0))):
+            with pytest.raises(KeyError):
+                dist.log_prob(frame)
+
     def test_dimension_cap(self):
         # no cap on d itself: the frame count and the table size are capped
         dist = exact_distribution(5, 3, Spectrum((0.2,) * 5))

@@ -4,6 +4,7 @@ import sys
 import threading
 import tracemalloc
 from collections import Counter
+from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
@@ -25,6 +26,15 @@ from spectrum_scope import (
 )
 from spectrum_scope import rsk
 from spectrum_scope.rsk import _word_shapes
+
+
+def as_counter(columns):
+    """Shape and count columns as a Counter, after checking that the shapes
+    are distinct and run in lexicographically decreasing order."""
+    rows, counts = columns
+    shapes = list(map(tuple, rows.tolist()))
+    assert all(a > b for a, b in zip(shapes, shapes[1:]))
+    return Counter(dict(zip(shapes, counts.tolist())))
 
 
 class TestCompactTableau:
@@ -217,7 +227,7 @@ class TestSampling:
         for sample in range(count):
             shape = rsk_shape([int(letter) + 1 for letter in words[:, sample]])
             expected[shape + (0,) * (d - len(shape))] += 1
-        assert rsk._sample_shapes(cfg, 0, count) == expected
+        assert as_counter(rsk._sample_shapes(cfg, 0, count)) == expected
 
     def test_box_count_past_int32_rejected_before_allocating(self):
         cfg = SamplerConfig(d=3, boxes=2**31, spectrum=Spectrum((0.5, 0.3, 0.2)), seed=1)
@@ -263,7 +273,7 @@ class TestSampling:
         base, extra = divmod(samples, cfg.chains)
         reversed_order = Counter()
         for chain in reversed(range(cfg.chains)):
-            reversed_order.update(rsk._sample_shapes(cfg, chain, base + (chain < extra)))
+            reversed_order.update(as_counter(rsk._sample_shapes(cfg, chain, base + (chain < extra))))
         assert sample_frame_counts(cfg, samples) == reversed_order
 
     def test_chains_share_one_peak(self):
@@ -283,6 +293,23 @@ class TestSampling:
         one_chain, four_chains = peaks
         assert four_chains <= one_chain + 2**14
 
+    @pytest.mark.parametrize("chains, per_chain", [(8, 5_000), (3, 20_000)])
+    def test_checked_bytes_cover_the_law_of_earlier_chains(self, monkeypatch, chains, per_chain):
+        # nearly every shape is new at d = 8, so the law merged from earlier
+        # chains outgrows one chain's own bytes; each chain's check counts it
+        d = 8
+        values = tuple(v / sum(range(1, d + 1)) for v in range(d, 0, -1))
+        cfg = SamplerConfig(d=d, boxes=300, spectrum=Spectrum(values), seed=5, chains=chains)
+        tracemalloc.start()
+        try:
+            empirical_distribution(cfg, chains * per_chain)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        monkeypatch.setattr(rsk, "MAX_CHAIN_BYTES", peak - 2**14)
+        with pytest.raises(ResourceLimitError):
+            empirical_distribution(cfg, chains * per_chain)
+
     def test_total_count_preserved(self):
         cfg = SamplerConfig(d=2, boxes=6, spectrum=Spectrum((0.8, 0.2)), seed=3, chains=3)
         counts = sample_frame_counts(cfg, 4321)
@@ -296,14 +323,14 @@ class TestSampling:
         assert sample_frame_counts(cfg, 4) == Counter({(boxes, 0, 0): 4})
 
     def test_checked_bytes_cover_the_counted_shapes(self, monkeypatch):
-        # at d = 8 nearly every one of 10,000 samples has its own shape, and
-        # the Counter of their tuples outweighs the int16 path state
+        # at d = 8 nearly every one of 10,000 samples has its own shape, so
+        # the chain's tally holds about as many rows as it drew
         d, count = 8, 10_000
         values = tuple(v / sum(range(1, d + 1)) for v in range(d, 0, -1))
         cfg = SamplerConfig(d=d, boxes=300, spectrum=Spectrum(values), seed=5)
         tracemalloc.start()
         try:
-            counts = rsk._sample_shapes(cfg, 0, count)
+            rows, counts = rsk._sample_shapes(cfg, 0, count)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -379,7 +406,7 @@ class TestWordThread:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            assert rsk._sample_shapes(self.cfg, 0, count) == expected
+            assert as_counter(rsk._sample_shapes(self.cfg, 0, count)) == expected
         finally:
             sys.setswitchinterval(interval)
 
@@ -417,6 +444,20 @@ class TestEmpiricalDistribution:
         empirical = empirical_distribution(cfg, 5000)
         assert math.fsum(empirical.frequencies.values()) == pytest.approx(1.0, abs=1e-12)
 
+    def test_columns_are_the_counts(self):
+        cfg = SamplerConfig(d=3, boxes=6, spectrum=Spectrum((0.5, 0.3, 0.2)), seed=3, chains=2)
+        empirical = empirical_distribution(cfg, 500)
+        counts = sample_frame_counts(cfg, 500)
+        assert empirical.rows.dtype == empirical.counts.dtype == np.int64
+        assert as_counter((empirical.rows, empirical.counts)) == counts
+        # each mean is the exact total over N boxes, rounded once
+        totals = [sum(c * rows[j] for rows, c in counts.items()) for j in range(3)]
+        assert empirical.mean_estimate == tuple(float(Fraction(t, 500 * 6)) for t in totals)
+        with pytest.raises(ValueError):
+            empirical.rows[0, 0] = 1
+        with pytest.raises(ValueError):
+            empirical.counts[0] = 1
+
     def test_single_sample_is_a_point_mass(self):
         cfg = SamplerConfig(d=2, boxes=4, spectrum=Spectrum((0.6, 0.4)), seed=23)
         empirical = empirical_distribution(cfg, 1)
@@ -451,7 +492,7 @@ class TestEmpiricalDistribution:
         spectrum = Spectrum(values)
         exact = exact_distribution(d, boxes, spectrum)
         cfg = SamplerConfig(d=d, boxes=boxes, spectrum=spectrum, seed=43, chains=3)
-        report = rsk._fit_report(sample_frame_counts(cfg, samples), samples, exact)
+        report = empirical_distribution(cfg, samples, exact=exact).fit
         assert report.cells > 100
         assert report.p_value > 0.001
 

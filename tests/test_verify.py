@@ -1,6 +1,9 @@
+import dataclasses
+import json
+
 import pytest
 
-from spectrum_scope import ConvergenceError, ldp
+from spectrum_scope import ConvergenceError, cli, ldp, verify
 from spectrum_scope.verify import QUICK, report_dict, run_checks
 
 
@@ -51,6 +54,24 @@ def test_other_ascent_errors_propagate(monkeypatch):
     monkeypatch.setattr(ldp, "legendre_of_cgf", broken)
     with pytest.raises(RuntimeError, match="not a convergence failure"):
         run_checks(QUICK)
+
+
+def test_one_failed_sandwich_fails_bounds(monkeypatch, tmp_path, capsys):
+    real = verify.character_bounds_check
+    calls = []
+
+    def fails_once(frame, spectrum):
+        calls.append(frame)
+        bounds = real(frame, spectrum)
+        return dataclasses.replace(bounds, holds=False) if len(calls) == 1 else bounds
+
+    monkeypatch.setattr(verify, "character_bounds_check", fails_once)
+    out = tmp_path / "report.json"
+    assert cli.main(["verify", "--level", "quick", "--out", str(out)]) == 1
+    checks = {c["name"]: c for c in json.loads(out.read_text())["checks"]}
+    assert [name for name, c in checks.items() if not c["passed"]] == ["bounds"]
+    assert checks["bounds"]["detail"] == f"1 of {len(calls)} highest-weight sandwich checks failed"
+    assert "FAILED invariants: bounds" in capsys.readouterr().err
 
 
 def test_unknown_level_rejected():
