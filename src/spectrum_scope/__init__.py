@@ -69,7 +69,6 @@ _EXPORTS = {
         "FitReport",
         "SamplerConfig",
         "empirical_distribution",
-        "sample_frame_counts",
     ),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -169,6 +169,8 @@ def _parse_spectrum(text: str, d: int, allow_unsorted: bool) -> Spectrum:
         raise _UsageError(f"could not parse spectrum {text!r}: {exc}") from exc
     if len(values) != d:
         raise _UsageError(f"spectrum has {len(values)} entries, expected d={d}")
+    if not all(map(math.isfinite, values)):
+        raise _UsageError(f"eigenvalues must be finite, got {text!r}")
     try:
         total = math.fsum(values)
     except OverflowError as exc:

@@ -23,8 +23,8 @@ words by integer threshold compares, bit for bit the letters of
 shape and count columns, and the same tally merges them into the law of the
 chains before. Chains run in sequence and each one's check counts the law
 held from earlier ones, so the 1 GiB chain cap ``MAX_CHAIN_BYTES`` bounds
-the sampler's peak; the tuples of ``sample_frame_counts`` come on top. More
-chains split the stream and bound memory; they do not add parallelism.
+the sampler's peak. More chains split the stream and bound memory; they do
+not add parallelism.
 """
 from __future__ import annotations
 
@@ -32,7 +32,6 @@ import itertools
 import math
 import queue
 import threading
-from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
@@ -79,7 +78,7 @@ class SamplerConfig:
 
 
 def _chain_rng(seed: int, chain: int) -> np.random.Generator:
-    """Counter-based stream for one chain; (seed, chain) fixes it completely."""
+    """The counter-based stream of one chain; (seed, chain) fixes it completely."""
     sequence = np.random.SeedSequence(entropy=seed, spawn_key=(chain,))
     return np.random.Generator(np.random.Philox(sequence))
 
@@ -268,21 +267,9 @@ def _shape_law(cfg: SamplerConfig, samples: int) -> tuple[np.ndarray, np.ndarray
     return rows, counts
 
 
-def sample_frame_counts(cfg: SamplerConfig, samples: int) -> Counter:
-    """Outcome counts over many samples, split across the configured chains,
-    keyed by shape tuples made from the law's columns a block at a time."""
-    rows, counts = _shape_law(cfg, samples)
-    law: Counter = Counter()
-    step = max(1, _BLOCK_CELLS // cfg.d)
-    for start in range(0, len(counts), step):
-        block = slice(start, start + step)
-        law.update(dict(zip(map(tuple, rows[block].tolist()), counts[block].tolist())))
-    return law
-
-
 @dataclass(frozen=True)
 class FitReport:
-    """Agreement between sampled frequencies and an exact distribution."""
+    """Agreement between sampled counts and an exact distribution."""
 
     tv_distance: float
     chi_square: float
@@ -296,10 +283,9 @@ class EmpiricalDistribution:
     """Sampled law as two columns: ``rows``, int64 (F, d), one distinct shape
     per row in the canonical (lexicographically decreasing) order of
     ``SchurWeylDistribution``, and ``counts``, int64 (F,), the draws of each.
-    Both are copied on construction and read-only; ``frequencies`` and
+    Both are copied on construction and read-only; ``samples`` and
     ``mean_estimate`` are formed from them on demand."""
 
-    samples: int
     rows: np.ndarray
     counts: np.ndarray
     fit: FitReport | None = None
@@ -311,8 +297,8 @@ class EmpiricalDistribution:
             object.__setattr__(self, name, column)
 
     @property
-    def frequencies(self) -> dict[tuple[int, ...], float]:
-        return dict(zip(map(tuple, self.rows.tolist()), (self.counts / self.samples).tolist()))
+    def samples(self) -> int:
+        return int(self.counts.sum())
 
     @property
     def mean_estimate(self) -> tuple[float, ...]:
@@ -327,10 +313,12 @@ def empirical_distribution(
     exact: SchurWeylDistribution | None = None,
 ) -> EmpiricalDistribution:
     """Sampled outcome counts, with a goodness-of-fit report when an exact
-    distribution is supplied."""
+    distribution is supplied; that law must be at the sampler's d and N."""
+    if exact is not None and (exact.d, exact.boxes) != (cfg.d, cfg.boxes):
+        raise ValueError(f"a fit needs the exact law at d={cfg.d} N={cfg.boxes}, not d={exact.d} N={exact.boxes}")
     rows, counts = _shape_law(cfg, samples)
     fit = None if exact is None else _fit_report(rows, counts, exact)
-    return EmpiricalDistribution(samples=samples, rows=rows, counts=counts, fit=fit)
+    return EmpiricalDistribution(rows=rows, counts=counts, fit=fit)
 
 
 def _chi2_sf(x: float, k: int) -> float:

@@ -18,7 +18,7 @@ from typing import Iterator
 
 import numpy as np
 
-from spectrum_scope import YoungFrame, sample_frame_counts
+from spectrum_scope import YoungFrame, empirical_distribution
 
 
 class DegenerateSpectrumError(ValueError):
@@ -345,4 +345,4 @@ def insert_letter(tableau: CompactTableau, letter: int) -> CompactTableau:
 
 def sample_frame(cfg) -> YoungFrame:
     """Draw one outcome frame: the single sample of chain 0 of the configured stream."""
-    return YoungFrame(next(iter(sample_frame_counts(cfg, 1))))
+    return YoungFrame(tuple(empirical_distribution(cfg, 1).rows[0].tolist()))

@@ -5,6 +5,7 @@ import importlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -15,7 +16,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import subprocess_env
+from conftest import SOURCE_ROOT, subprocess_env
 
 from spectrum_scope import (
     ConvergenceError,
@@ -54,7 +55,9 @@ def _count_rows(d, n, values, chains, samples=3000):
     cfg = SamplerConfig(d=d, boxes=n, spectrum=Spectrum(values), seed=5, chains=chains)
     empirical = empirical_distribution(cfg, samples)
     header = [f"Y{j + 1}" for j in range(d)] + ["count", "frequency"]
-    rows = [list(frame) + [round(freq * samples), freq] for frame, freq in empirical.frequencies.items()]
+    rows = [
+        frame + [count, count / samples] for frame, count in zip(empirical.rows.tolist(), empirical.counts.tolist())
+    ]
     return header, rows, empirical
 
 
@@ -270,6 +273,14 @@ def test_overflowing_input_writes_nothing(tmp_path, command):
 def test_missing_spectrum_above_one_level_is_bad_input(tmp_path, capsys, command):
     assert run(command + ["--d", 2, "--out", tmp_path / "out.csv"]) == 2
     assert capsys.readouterr().err == "error: --spectrum is required for d > 1\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("text", ["nan,0.5", "inf,-inf"])
+def test_non_finite_spectrum_named_as_given(tmp_path, capsys, text):
+    # a NaN passes a sum test and an inf pair makes fsum fail, so finiteness is checked first
+    assert run(["dist", "--d", 2, "--n", 5, f"--spectrum={text}", "--out", tmp_path / "out.csv"]) == 2
+    assert capsys.readouterr().err == f"error: eigenvalues must be finite, got {text!r}\n"
     assert list(tmp_path.iterdir()) == []
 
 
@@ -716,3 +727,14 @@ class TestModuleLoading:
         )
         proc = subprocess.run([sys.executable, "-c", script], env=subprocess_env(), capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
+
+
+def test_readme_library_example_runs(tmp_path):
+    # the README's Python block, in a fresh interpreter, prints the mode it promises
+    readme = (SOURCE_ROOT.parent / "README.md").read_text(encoding="utf-8")
+    (example,) = re.findall(r"```python\n(.*?)```", readme, flags=re.DOTALL)
+    proc = subprocess.run(
+        [sys.executable, "-c", example], cwd=tmp_path, env=subprocess_env(), capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("(74, 35, 11) "), proc.stdout

@@ -2,6 +2,7 @@ import math
 import subprocess
 import sys
 import threading
+import time
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
@@ -22,7 +23,6 @@ from spectrum_scope import (
     empirical_distribution,
     exact_distribution,
     expectation_of,
-    sample_frame_counts,
 )
 from spectrum_scope import rsk
 from spectrum_scope.rsk import _word_shapes
@@ -35,6 +35,12 @@ def as_counter(columns):
     shapes = list(map(tuple, rows.tolist()))
     assert all(a > b for a, b in zip(shapes, shapes[1:]))
     return Counter(dict(zip(shapes, counts.tolist())))
+
+
+def sampled_counts(cfg, samples):
+    """The sampled law of ``samples`` draws as a Counter of shape tuples."""
+    empirical = empirical_distribution(cfg, samples)
+    return as_counter((empirical.rows, empirical.counts))
 
 
 class TestCompactTableau:
@@ -178,10 +184,10 @@ class TestPathTransformKernel:
         cfg = SamplerConfig(d=4, boxes=40, spectrum=spectrum, seed=3, chains=2)
         # 1 and 3 samples per chain fit several steps in a 7-cell block;
         # 1500 per chain take several steps per block only at the default
-        default = {samples: sample_frame_counts(cfg, samples) for samples in (2, 6, 3000)}
+        default = {samples: sampled_counts(cfg, samples) for samples in (2, 6, 3000)}
         monkeypatch.setattr(rsk, "_BLOCK_CELLS", cells)
         for samples, expected in default.items():
-            assert sample_frame_counts(cfg, samples) == expected
+            assert sampled_counts(cfg, samples) == expected
 
 
 class TestSamplerConfig:
@@ -213,7 +219,7 @@ class TestSampling:
 
     def test_counts_reproducible(self):
         cfg = SamplerConfig(d=3, boxes=10, spectrum=Spectrum((0.5, 0.3, 0.2)), seed=13, chains=4)
-        assert sample_frame_counts(cfg, 5000) == sample_frame_counts(cfg, 5000)
+        assert sampled_counts(cfg, 5000) == sampled_counts(cfg, 5000)
 
     def test_letters_past_eight_bits(self):
         # at d = 257 the last letter is 256, past eight bits: 256 thresholds
@@ -234,7 +240,7 @@ class TestSampling:
         tracemalloc.start()
         try:
             with pytest.raises(ResourceLimitError, match="32-bit"):
-                sample_frame_counts(cfg, 1)
+                empirical_distribution(cfg, 1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -242,12 +248,12 @@ class TestSampling:
         # one box fewer passes to the memory check
         cfg = SamplerConfig(d=3, boxes=2**31 - 1, spectrum=Spectrum((0.5, 0.3, 0.2)), seed=1)
         with pytest.raises(ResourceLimitError, match="bytes"):
-            sample_frame_counts(cfg, 10**11)
+            empirical_distribution(cfg, 10**11)
 
     def test_allocation_cap_checked_before_allocating(self):
         cfg = SamplerConfig(d=3, boxes=5, spectrum=Spectrum((0.5, 0.3, 0.2)), seed=1)
         with pytest.raises(ResourceLimitError, match="bytes"):
-            sample_frame_counts(cfg, 10**11)
+            empirical_distribution(cfg, 10**11)
 
     @pytest.mark.parametrize("d, boxes, count", [(1, 50, 3000), (3, 3, 20000), (4, 100, 500)])
     def test_checked_bytes_cover_traced_peak(self, monkeypatch, d, boxes, count):
@@ -274,19 +280,19 @@ class TestSampling:
         reversed_order = Counter()
         for chain in reversed(range(cfg.chains)):
             reversed_order.update(as_counter(rsk._sample_shapes(cfg, chain, base + (chain < extra))))
-        assert sample_frame_counts(cfg, samples) == reversed_order
+        assert sampled_counts(cfg, samples) == reversed_order
 
     def test_chains_share_one_peak(self):
         # chains run one at a time: four of them cost no more memory than one
         spectrum = Spectrum((0.5, 0.3, 0.2))
         per_chain = 20_000
         single = SamplerConfig(d=3, boxes=10, spectrum=spectrum, seed=3)
-        sample_frame_counts(single, per_chain)  # warm-up: first-call allocations
+        empirical_distribution(single, per_chain)  # warm-up: first-call allocations
         peaks = []
         for cfg in (single, SamplerConfig(d=3, boxes=10, spectrum=spectrum, seed=3, chains=4)):
             tracemalloc.start()
             try:
-                sample_frame_counts(cfg, per_chain * cfg.chains)
+                empirical_distribution(cfg, per_chain * cfg.chains)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
@@ -312,7 +318,7 @@ class TestSampling:
 
     def test_total_count_preserved(self):
         cfg = SamplerConfig(d=2, boxes=6, spectrum=Spectrum((0.8, 0.2)), seed=3, chains=3)
-        counts = sample_frame_counts(cfg, 4321)
+        counts = sampled_counts(cfg, 4321)
         assert sum(counts.values()) == 4321
 
     @pytest.mark.parametrize("boxes", [2**15 - 1, 2**15])
@@ -320,7 +326,7 @@ class TestSampling:
         # int16 holds every path value up to N = 2^15 - 1; one box more takes
         # int32. The draws never reach a cumulative sum of 1, so every letter is 0
         cfg = SamplerConfig(d=3, boxes=boxes, spectrum=Spectrum((1.0, 0.0, 0.0)), seed=2, chains=2)
-        assert sample_frame_counts(cfg, 4) == Counter({(boxes, 0, 0): 4})
+        assert sampled_counts(cfg, 4) == Counter({(boxes, 0, 0): 4})
 
     def test_checked_bytes_cover_the_counted_shapes(self, monkeypatch):
         # at d = 8 nearly every one of 10,000 samples has its own shape, so
@@ -394,6 +400,32 @@ class TestWordThread:
             rsk._sample_shapes(self.cfg, 0, 5000)
         assert threading.active_count() == baseline
 
+    def test_kernel_error_drains_a_full_queue(self, monkeypatch):
+        # the kernel fails after the helper has queued a block and blocked in
+        # put on the next one: leaving the chain must empty the queue, or the
+        # helper never sees the stop and the join hangs
+        def fail_after_a_pause(blocks, thresholds, d, count, path_type):
+            next(iter(blocks))
+            time.sleep(0.05)
+            raise RuntimeError("kernel failed")
+
+        monkeypatch.setattr(rsk, "_word_shapes", fail_after_a_pause)
+        raised = []
+
+        def sample():
+            try:
+                rsk._sample_shapes(self.cfg, 0, 5000)
+            except RuntimeError as exc:
+                raised.append(str(exc))
+
+        baseline = threading.active_count()
+        watcher = threading.Thread(target=sample, daemon=True)
+        watcher.start()
+        watcher.join(timeout=30)
+        assert not watcher.is_alive(), "the sampler hangs on a word thread blocked in put"
+        assert raised == ["kernel failed"]
+        assert threading.active_count() == baseline
+
     def test_blocks_arrive_whole_and_in_order_under_fast_switching(self):
         # the helper thread hands blocks to the kernel through a queue; with
         # the interpreter switching threads every microsecond, no block may
@@ -442,12 +474,17 @@ class TestEmpiricalDistribution:
     def test_frequencies_sum_to_one(self):
         cfg = SamplerConfig(d=2, boxes=10, spectrum=Spectrum((0.7, 0.3)), seed=19)
         empirical = empirical_distribution(cfg, 5000)
-        assert math.fsum(empirical.frequencies.values()) == pytest.approx(1.0, abs=1e-12)
+        assert empirical.samples == 5000
+        assert math.fsum((empirical.counts / empirical.samples).tolist()) == pytest.approx(1.0, abs=1e-12)
 
     def test_columns_are_the_counts(self):
         cfg = SamplerConfig(d=3, boxes=6, spectrum=Spectrum((0.5, 0.3, 0.2)), seed=3, chains=2)
         empirical = empirical_distribution(cfg, 500)
-        counts = sample_frame_counts(cfg, 500)
+        # the law merged from each chain's own tally
+        counts = Counter()
+        for chain in range(cfg.chains):
+            counts.update(as_counter(rsk._sample_shapes(cfg, chain, 250)))
+        assert empirical.samples == 500
         assert empirical.rows.dtype == empirical.counts.dtype == np.int64
         assert as_counter((empirical.rows, empirical.counts)) == counts
         # each mean is the exact total over N boxes, rounded once
@@ -461,7 +498,24 @@ class TestEmpiricalDistribution:
     def test_single_sample_is_a_point_mass(self):
         cfg = SamplerConfig(d=2, boxes=4, spectrum=Spectrum((0.6, 0.4)), seed=23)
         empirical = empirical_distribution(cfg, 1)
-        assert list(empirical.frequencies.values()) == [1.0]
+        assert empirical.counts.tolist() == [1]
+        assert empirical.samples == 1
+
+    def test_samples_are_the_sum_of_the_counts(self):
+        empirical = rsk.EmpiricalDistribution(rows=[[3, 1], [2, 2]], counts=[5, 2])
+        assert empirical.samples == 7
+        assert empirical.mean_estimate == (19 / 28, 9 / 28)
+
+    @pytest.mark.parametrize("d, boxes", [(3, 8), (3, 12), (2, 10), (4, 10)])
+    def test_fit_against_a_law_at_another_d_or_n_rejected(self, d, boxes):
+        # sampled at d3 N10, fit against d3 N8 read as TV 1.0 and p 1.7e-209
+        cfg = SamplerConfig(d=3, boxes=10, spectrum=Spectrum((0.5, 0.3, 0.2)), seed=1)
+        exact = exact_distribution(d, boxes, Spectrum((1 / d,) * d))
+        with pytest.raises(ValueError, match=f"at d=3 N=10, not d={d} N={boxes}"):
+            empirical_distribution(cfg, 1000, exact=exact)
+        # another spectrum at the same d and N is a hypothesis the fit can reject
+        report = empirical_distribution(cfg, 1000, exact=exact_distribution(3, 10, Spectrum((1 / 3,) * 3))).fit
+        assert report.p_value < 1e-6
 
     def test_mean_estimate_within_three_sigma(self):
         spectrum = Spectrum((0.7, 0.3))
@@ -529,12 +583,10 @@ def test_verify_leaves_scipy_unimported():
 
 def test_throughput_report():
     # soft target: >= 1e5 letters/second/chain at d <= 8; reported, not asserted
-    import time
-
     spectrum = Spectrum(tuple(sorted((v / 36 for v in range(1, 9)), reverse=True)))
     cfg = SamplerConfig(d=8, boxes=100, spectrum=spectrum, seed=71, chains=1)
     start = time.perf_counter()
-    sample_frame_counts(cfg, 10_000)
+    empirical_distribution(cfg, 10_000)
     elapsed = time.perf_counter() - start
     rate = 1_000_000 / elapsed
     print(f"sampler throughput: {rate:,.0f} letters/second/chain at d=8")
@@ -556,7 +608,7 @@ class TestAgainstWordEnumeration:
         spectrum = Spectrum((0.6, 0.4))
         words = word_shape_distribution(d, n, spectrum.values)
         cfg = SamplerConfig(d=d, boxes=n, spectrum=spectrum, seed=41, chains=2)
-        counts = sample_frame_counts(cfg, samples)
+        counts = sampled_counts(cfg, samples)
         for rows, prob in words.items():
             observed = counts.get(rows, 0) / samples
             sigma = math.sqrt(prob * (1 - prob) / samples)
@@ -758,4 +810,4 @@ PINNED_COUNTS = [
 )
 def test_counts_pinned_seed_for_seed(d, boxes, values, expected):
     cfg = SamplerConfig(d=d, boxes=boxes, spectrum=Spectrum(values), seed=7, chains=2)
-    assert sample_frame_counts(cfg, 500) == expected
+    assert sampled_counts(cfg, 500) == expected
